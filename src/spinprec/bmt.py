@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import TWO_PI, Kinematics, motion_axis
+from .kinematics import TWO_PI, Kinematics, check_time_grid, motion_axis
 
 #: floor demanded of the cross-check integrator
 MIN_STEPS_PER_PERIOD = 200
@@ -76,30 +76,26 @@ def _check_unit(v, name: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+    if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:
         raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
     return v
 
 
-def rotate_exact(s0, omega: PrecessionVector, t: float) -> np.ndarray:
-    """Rotate s0 about the precession axis by |Omega| t (axis-angle form)."""
+def rotate_exact(s0, omega: PrecessionVector, t) -> np.ndarray:
+    """Rotate s0 about the precession axis by |Omega| t (axis-angle form).
+
+    ``t`` may be an array of times; the result then has shape ``t.shape + (3,)``.
+    """
     s0 = _check_unit(s0, "s0")
+    t = np.asarray(t, dtype=float)
     w = omega.magnitude
     if w == 0.0:
-        return s0.copy()
+        return np.broadcast_to(s0, t.shape + (3,)).copy()
     axis = omega.omega_vec / w
     theta = w * t
-    c, si = math.cos(theta), math.sin(theta)
+    c = np.cos(theta)[..., None]
+    si = np.sin(theta)[..., None]
     return s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
-
-
-def _check_traj_grid(t_grid) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t.size == 0:
-        raise ValueError("time grid must be nonempty")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise ValueError("time grid must be strictly ascending")
-    return t
 
 
 def map_rest_to_pi(s, kin: Kinematics) -> tuple[np.ndarray, np.ndarray]:
@@ -123,17 +119,8 @@ def trajectory_exact(
     s0, omega: PrecessionVector, t_grid, kin: Kinematics
 ) -> PrecessionTrajectory:
     """Sample the exact rotation on a grid and map to lab polarization."""
-    s0 = _check_unit(s0, "s0")
-    t = _check_traj_grid(t_grid)
-    w = omega.magnitude
-    if w == 0.0:
-        s = np.broadcast_to(s0, (t.size, 3)).copy()
-    else:
-        axis = omega.omega_vec / w
-        theta = w * t
-        c = np.cos(theta)[:, None]
-        si = np.sin(theta)[:, None]
-        s = s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
+    t = check_time_grid(t_grid)
+    s = rotate_exact(s0, omega, t)
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)
 
@@ -178,7 +165,7 @@ def integrate(
     subdivided to land exactly on the sample times.
     """
     s0 = _check_unit(s0, "s0")
-    t = _check_traj_grid(t_grid)
+    t = check_time_grid(t_grid)
     if steps_per_period < MIN_STEPS_PER_PERIOD:
         raise ValueError(
             f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"

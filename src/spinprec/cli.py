@@ -17,17 +17,28 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bmt import (
     DEFAULT_STEPS_PER_PERIOD,
+    MIN_STEPS_PER_PERIOD,
     integrate,
-    map_pi_to_rest,
     omega_vector,
     trajectory_exact,
 )
-from .compare import Tolerances, format_report, period_grid, run_comparison
+from .compare import (
+    DEFAULT_PERIODS,
+    DEFAULT_SAMPLES_PER_PERIOD,
+    MIN_SAMPLES_PER_PERIOD,
+    Tolerances,
+    format_report,
+    period_grid,
+    run_comparison,
+    seed_classical,
+)
 from .kinematics import (
     Kinematics,
     make_coupling,
@@ -43,7 +54,6 @@ from .spinors import (
     spin_coefficients,
 )
 from .superposition import (
-    DegenerateOrientationError,
     evolve_expectations,
     initial_amplitudes_closed,
     initial_amplitudes_general,
@@ -55,34 +65,8 @@ HBAR = 1.054571817e-34  # J s
 RESIDUAL_TOL = 1e-12
 #: spin-norm conservation demanded of classical trajectories
 NORM_DRIFT_TOL = 1e-9
-
-_ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
-
-DEFAULTS = {
-    "beta": 0.6,
-    "alpha_deg": 45.0,
-    "coupling_s": 1e-3,
-    "zeta": 1,
-    "epsilon": 1,
-    "orientation": "y",
-    "theta_n_deg": 0.0,
-    "phi_n_deg": 0.0,
-    "periods": 10.0,
-    "samples_per_period": 1024,
-    "format": None,
-    "method": "exact",
-    "steps_per_period": DEFAULT_STEPS_PER_PERIOD,
-    "tol_deviation": 1e-8,
-    "tol_invariant": 1e-10,
-    "tol_frequency": 1e-6,
-    "physical": False,
-    "mu": None,
-    "field": None,
-    "output": None,
-    "sweep": None,
-    "gamma": None,
-    "omega0": 1.0,
-}
+#: most (beta, alpha) points one sweep may take
+MAX_SWEEP_POINTS = 10**6
 
 _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -101,35 +85,65 @@ def _cast_sign(text: str) -> int:
     return value
 
 
-_CASTERS = {
-    "beta": float,
-    "alpha_deg": float,
-    "coupling_s": float,
-    "zeta": _cast_sign,
-    "epsilon": _cast_sign,
-    "orientation": str,
-    "theta_n_deg": float,
-    "phi_n_deg": float,
-    "periods": float,
-    "samples_per_period": int,
-    "format": str,
-    "method": str,
-    "steps_per_period": int,
-    "tol_deviation": float,
-    "tol_invariant": float,
-    "tol_frequency": float,
-    "physical": _cast_bool,
-    "mu": float,
-    "field": float,
-    "output": str,
-    "sweep": str,
-    "gamma": float,
-    "omega0": float,
+@dataclass(frozen=True)
+class Param:
+    """Flag ``--name-with-hyphens`` (bare when boolean) and config key ``name``.
+
+    ``commands`` offer the flag; a config file may set any parameter.
+    """
+
+    name: str
+    cast: Callable[[str], object]
+    default: object
+    help: str
+    commands: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+
+
+_SERIES = ("precess", "bmt", "compare", "sweep")
+_KINEMATIC = ("eigenstate", *_SERIES)
+_CHECKED = ("compare", "sweep")
+_TIMED = ("precess", "bmt")
+#: output formats each subcommand offers
+_FORMATS = {
+    "eigenstate": ("text", "json"),
+    "precess": ("csv", "json"),
+    "bmt": ("csv", "json"),
+    "compare": ("json", "table"),
 }
 
+PARAMS = (
+    Param("beta", float, 0.6, "speed in units of c, 0 <= beta < 1", _KINEMATIC),
+    Param("alpha_deg", float, 45.0, "angle between velocity and field, degrees", _KINEMATIC),
+    Param("coupling_s", float, 1e-3, "moment-field coupling |mu|H/(m0 c^2)", _SERIES),
+    Param("zeta", _cast_sign, 1, "spin branch, +1 or -1", ("eigenstate",)),
+    Param("epsilon", _cast_sign, 1, "initial orientation sign, +1 or -1", _SERIES),
+    Param("orientation", str, "y", "initial spin axis", _SERIES,
+          ("x", "y", "z", "momentum", "custom")),
+    Param("theta_n_deg", float, 0.0, "custom axis polar angle, degrees", _SERIES),
+    Param("phi_n_deg", float, 0.0, "custom axis azimuth, degrees", _SERIES),
+    Param("periods", float, DEFAULT_PERIODS, "number of precession periods", _SERIES),
+    Param("samples_per_period", int, DEFAULT_SAMPLES_PER_PERIOD,
+          f"grid density, >= {MIN_SAMPLES_PER_PERIOD}", _SERIES),
+    Param("format", str, None, "output format", tuple(_FORMATS)),
+    Param("method", str, "exact", "trajectory method", ("bmt",), ("exact", "rk4")),
+    Param("steps_per_period", int, DEFAULT_STEPS_PER_PERIOD,
+          f"rk4 step density, >= {MIN_STEPS_PER_PERIOD}", ("bmt",)),
+    Param("tol_deviation", float, Tolerances.deviation,
+          "max quantum-classical deviation", _CHECKED),
+    Param("tol_invariant", float, Tolerances.invariant, "max |I - 1|", ("precess", *_CHECKED)),
+    Param("tol_frequency", float, Tolerances.frequency_rel,
+          "max relative frequency error", _CHECKED),
+    Param("physical", _cast_bool, False, "emit the time column in seconds", _TIMED),
+    Param("mu", float, None, "|mu| in J/T (with --physical)", _TIMED),
+    Param("field", float, None, "H in T (with --physical)", _TIMED),
+    Param("output", str, None, "write to this file instead of stdout", (*_KINEMATIC, "scales")),
+    Param("sweep", str, None, "grid spec, e.g. beta=0:0.95:20,alpha=0:90:10", ("sweep",)),
+    Param("gamma", float, None, "Lorentz factor, >= 1", ("scales",)),
+    Param("omega0", float, 1.0, "rest-frame angular frequency", ("scales",)),
+)
 
-class ConfigError(Exception):
-    """Bad flags, config-file content or physical bounds (exit code 2)."""
+_BY_NAME = {param.name: param for param in PARAMS}
 
 
 def _load_config_file(path: str) -> dict:
@@ -141,68 +155,46 @@ def _load_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, text = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CASTERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            param = _BY_NAME.get(key)
+            if param is None:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _CASTERS[key](text.strip())
+                values[key] = param.cast(text.strip())
+                if param.choices and values[key] not in param.choices:
+                    raise ValueError(f"must be one of {', '.join(param.choices)}")
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+                raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Apply precedence flags > config file > defaults."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    cfg = {param.name: param.default for param in PARAMS}
+    if args.config:
         cfg.update(_load_config_file(args.config))
-    for key in DEFAULTS:
-        value = getattr(args, key, None)
+    for name in cfg:
+        value = getattr(args, name, None)
         if value is not None:
-            cfg[key] = value
+            cfg[name] = value
     return cfg
 
 
 def _resolve_kinematics(cfg: dict) -> Kinematics:
-    beta = cfg["beta"]
-    if not 0.0 <= beta < 1.0:
-        raise ConfigError(f"beta must be < 1 and >= 0, got {beta}")
-    return make_kinematics(beta, math.radians(cfg["alpha_deg"]))
-
-
-def _resolve_coupling(cfg: dict):
-    if cfg["coupling_s"] < 0.0:
-        raise ConfigError(f"coupling s must be >= 0, got {cfg['coupling_s']}")
-    return make_coupling(cfg["coupling_s"], cfg["zeta"])
+    return make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
 
 
 def _resolve_superposition(cfg: dict, kin: Kinematics):
     orientation = cfg["orientation"]
-    if orientation not in _ORIENTATIONS:
-        raise ConfigError(
-            f"orientation must be one of {', '.join(_ORIENTATIONS)}, got {orientation!r}"
-        )
-    try:
-        if orientation in ("x", "y", "z"):
-            return initial_amplitudes_closed(orientation, cfg["epsilon"], kin)
-        if orientation == "momentum":
-            return initial_amplitudes_general(motion_axis(kin), cfg["epsilon"], kin)
+    if orientation in ("x", "y", "z"):
+        return initial_amplitudes_closed(orientation, cfg["epsilon"], kin)
+    if orientation == "momentum":
+        n = motion_axis(kin)
+    else:
         n = spin_axis(math.radians(cfg["theta_n_deg"]), math.radians(cfg["phi_n_deg"]))
-        return initial_amplitudes_general(n, cfg["epsilon"], kin)
-    except DegenerateOrientationError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _resolve_grid(cfg: dict, kin: Kinematics) -> np.ndarray:
-    if cfg["periods"] <= 0:
-        raise ConfigError(f"periods must be > 0, got {cfg['periods']}")
-    if cfg["samples_per_period"] < 16:
-        raise ConfigError(
-            f"samples-per-period must be >= 16, got {cfg['samples_per_period']}"
-        )
-    return period_grid(kin, cfg["periods"], cfg["samples_per_period"])
+    return initial_amplitudes_general(n, cfg["epsilon"], kin)
 
 
 def _time_scale(cfg: dict) -> float:
@@ -211,9 +203,9 @@ def _time_scale(cfg: dict) -> float:
         return 1.0
     mu, field = cfg["mu"], cfg["field"]
     if mu is None or field is None:
-        raise ConfigError("--physical requires both --mu and --field")
-    if mu <= 0 or field <= 0:
-        raise ConfigError("--mu and --field must be positive")
+        raise ValueError("--physical requires both --mu and --field")
+    if not mu > 0 or not field > 0:
+        raise ValueError("--mu and --field must be positive")
     return HBAR / (2.0 * mu * field)
 
 
@@ -222,6 +214,22 @@ def _tolerances(cfg: dict) -> Tolerances:
         deviation=cfg["tol_deviation"],
         invariant=cfg["tol_invariant"],
         frequency_rel=cfg["tol_frequency"],
+    )
+
+
+def _comparison(cfg: dict):
+    """:func:`run_comparison` at the point ``cfg`` describes."""
+    kin = _resolve_kinematics(cfg)
+    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
+    sup = _resolve_superposition(cfg, kin)
+    return run_comparison(
+        sup,
+        kin,
+        coupling,
+        periods=cfg["periods"],
+        samples_per_period=cfg["samples_per_period"],
+        tolerances=_tolerances(cfg),
+        orientation=cfg["orientation"],
     )
 
 
@@ -242,6 +250,14 @@ def _csv(header: list[str], columns: list[np.ndarray]) -> str:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _emit_series(cfg: dict, header: list[str], columns: list[np.ndarray]) -> None:
+    if cfg["format"] == "json":
+        payload = {name: col.tolist() for name, col in zip(header, columns)}
+        _emit(_json_text(payload), cfg["output"])
+    else:
+        _emit(_csv(header, columns), cfg["output"])
 
 
 def cmd_eigenstate(cfg: dict) -> int:
@@ -302,51 +318,33 @@ def cmd_eigenstate(cfg: dict) -> int:
 
 def cmd_precess(cfg: dict) -> int:
     """Quantum polarization series on a period grid."""
+    tolerances = _tolerances(cfg)
     kin = _resolve_kinematics(cfg)
-    coupling = _resolve_coupling(cfg)
+    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
     sup = _resolve_superposition(cfg, kin)
-    t = _resolve_grid(cfg, kin)
+    t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     hist = evolve_expectations(sup, kin, coupling, t)
     scale = _time_scale(cfg)
-    columns = [
-        hist.t * scale,
-        hist.pi_x,
-        hist.pi_y,
-        hist.pi_z,
-        hist.beta_pi,
-        hist.invariant,
-    ]
     header = ["t", "pi_x", "pi_y", "pi_z", "beta_pi", "invariant"]
-    if cfg["format"] == "json":
-        payload = {name: col.tolist() for name, col in zip(header, columns)}
-        _emit(_json_text(payload), cfg["output"])
-    else:
-        _emit(_csv(header, columns), cfg["output"])
+    columns = [hist.t * scale] + [getattr(hist, name) for name in header[1:]]
+    _emit_series(cfg, header, columns)
     inv_err = float(np.abs(hist.invariant - 1.0).max())
-    return 0 if inv_err <= cfg["tol_invariant"] else 1
+    return 0 if inv_err <= tolerances.invariant else 1
 
 
 def cmd_bmt(cfg: dict) -> int:
     """Classical comparator series seeded from the matching quantum state."""
     kin = _resolve_kinematics(cfg)
-    coupling = _resolve_coupling(cfg)
+    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
     sup = _resolve_superposition(cfg, kin)
-    t = _resolve_grid(cfg, kin)
+    t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     # same initial polarization as cmd_precess, so the pi columns line up
-    start = evolve_expectations(sup, kin, coupling, t[:1])
-    pi0 = np.array([start.pi_x[0], start.pi_y[0], start.pi_z[0]])
-    s0 = map_pi_to_rest(pi0, kin)
-    s0 = s0 / np.linalg.norm(s0)
+    s0 = seed_classical(evolve_expectations(sup, kin, coupling, t[:1]), kin)
     omega = omega_vector(kin)
-    if cfg["method"] == "exact":
-        traj = trajectory_exact(s0, omega, t, kin)
-    elif cfg["method"] == "rk4":
-        try:
-            traj = integrate(s0, omega, t, kin, cfg["steps_per_period"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    if cfg["method"] == "rk4":
+        traj = integrate(s0, omega, t, kin, cfg["steps_per_period"])
     else:
-        raise ConfigError(f"method must be exact or rk4, got {cfg['method']!r}")
+        traj = trajectory_exact(s0, omega, t, kin)
     scale = _time_scale(cfg)
     header = ["t", "bmt_s_x", "bmt_s_y", "bmt_s_z", "bmt_pi_x", "bmt_pi_y", "bmt_pi_z", "bmt_beta_pi"]
     columns = [
@@ -359,82 +357,56 @@ def cmd_bmt(cfg: dict) -> int:
         traj.pi[:, 2],
         traj.beta_pi,
     ]
-    if cfg["format"] == "json":
-        payload = {name: col.tolist() for name, col in zip(header, columns)}
-        _emit(_json_text(payload), cfg["output"])
-    else:
-        _emit(_csv(header, columns), cfg["output"])
+    _emit_series(cfg, header, columns)
     drift = float(np.abs(np.linalg.norm(traj.s, axis=1) - 1.0).max())
     return 0 if drift <= NORM_DRIFT_TOL else 1
 
 
 def cmd_compare(cfg: dict) -> int:
     """Quantum vs classical report; JSON to the output target."""
-    kin = _resolve_kinematics(cfg)
-    coupling = _resolve_coupling(cfg)
-    sup = _resolve_superposition(cfg, kin)
-    if cfg["periods"] <= 0:
-        raise ConfigError(f"periods must be > 0, got {cfg['periods']}")
-    if cfg["samples_per_period"] < 16:
-        raise ConfigError(
-            f"samples-per-period must be >= 16, got {cfg['samples_per_period']}"
-        )
-    report, _, _ = run_comparison(
-        sup,
-        kin,
-        coupling,
-        periods=cfg["periods"],
-        samples_per_period=cfg["samples_per_period"],
-        tolerances=_tolerances(cfg),
-        orientation=cfg["orientation"],
-    )
-    if cfg["output"] is not None:
+    report, _, _ = _comparison(cfg)
+    # with --output the JSON goes to the file and the table to stdout
+    if cfg["output"] is not None or cfg["format"] != "table":
         _emit(_json_text(report.to_dict()), cfg["output"])
+    if cfg["output"] is not None or cfg["format"] == "table":
         sys.stdout.write(format_report(report) + "\n")
-    elif cfg["format"] == "table":
-        sys.stdout.write(format_report(report) + "\n")
-    else:
-        _emit(_json_text(report.to_dict()), None)
     return 0 if report.passed else 1
 
 
 def _parse_sweep_spec(spec: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse 'beta=lo:hi:count,alpha=lo:hi:count' into value grids."""
-    betas = None
-    alphas = None
+    """Parse 'beta=lo:hi:count,alpha=lo:hi:count' into value grids.
+
+    An axis left out of the spec holds its parameter's default.
+    """
+    grids = {
+        "beta": np.array([_BY_NAME["beta"].default]),
+        "alpha": np.array([_BY_NAME["alpha_deg"].default]),
+    }
+    points = 1
     for part in spec.split(","):
         name, _, rng = part.partition("=")
         name = name.strip()
         pieces = rng.split(":")
         if len(pieces) != 3:
-            raise ConfigError(f"sweep range must be lo:hi:count, got {rng!r}")
+            raise ValueError(f"sweep range must be lo:hi:count, got {rng!r}")
         try:
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError as exc:
-            raise ConfigError(f"bad sweep range {rng!r}: {exc}") from None
-        if count < 1:
-            raise ConfigError(f"sweep count must be >= 1, got {count}")
-        values = np.linspace(lo, hi, count)
-        if name == "beta":
-            betas = values
-        elif name == "alpha":
-            alphas = values
-        else:
-            raise ConfigError(f"sweep parameter must be beta or alpha, got {name!r}")
-    if betas is None:
-        betas = np.array([DEFAULTS["beta"]])
-    if alphas is None:
-        alphas = np.array([DEFAULTS["alpha_deg"]])
-    return betas, alphas
+            raise ValueError(f"bad sweep range {rng!r}: {exc}") from None
+        points *= count
+        if count < 1 or points > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep grid of {points} points must have 1 to {MAX_SWEEP_POINTS}")
+        if name not in grids:
+            raise ValueError(f"sweep parameter must be beta or alpha, got {name!r}")
+        grids[name] = np.linspace(lo, hi, count)
+    return grids["beta"], grids["alpha"]
 
 
 def cmd_sweep(cfg: dict) -> int:
     """Run compare over a (beta, alpha) grid; one summary CSV row per point."""
     if not cfg["sweep"]:
-        raise ConfigError("sweep needs --sweep beta=lo:hi:count,alpha=lo:hi:count")
+        raise ValueError("sweep needs --sweep beta=lo:hi:count,alpha=lo:hi:count")
     betas, alphas = _parse_sweep_spec(cfg["sweep"])
-    tol = _tolerances(cfg)
-    coupling = _resolve_coupling(cfg)
     lines = [
         "beta,alpha_deg,orientation,max_abs_deviation,invariant_max_error,"
         "extracted_frequency,frequency_formula,pass"
@@ -442,18 +414,9 @@ def cmd_sweep(cfg: dict) -> int:
     all_pass = True
     for beta in betas:
         for alpha_deg in alphas:
-            point = dict(cfg, beta=float(beta), alpha_deg=float(alpha_deg))
-            kin = _resolve_kinematics(point)
-            sup = _resolve_superposition(point, kin)
-            report, _, _ = run_comparison(
-                sup,
-                kin,
-                coupling,
-                periods=cfg["periods"],
-                samples_per_period=cfg["samples_per_period"],
-                tolerances=tol,
-                orientation=cfg["orientation"],
-            )
+            # holding the last point's arrays in _ until this point's exist keeps
+            # malloc from trimming and refaulting the heap on every point
+            report, _, _ = _comparison(dict(cfg, beta=float(beta), alpha_deg=float(alpha_deg)))
             all_pass = all_pass and report.passed
             worst = max(report.max_abs_deviation.values())
             freq = (
@@ -473,11 +436,8 @@ def cmd_sweep(cfg: dict) -> int:
 def cmd_scales(cfg: dict) -> int:
     """Relativistic timescale estimates for a given Lorentz factor."""
     if cfg["gamma"] is None:
-        raise ConfigError("scales needs --gamma")
-    try:
-        scales = sr_scales(cfg["gamma"], cfg["omega0"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ValueError("scales needs --gamma")
+    scales = sr_scales(cfg["gamma"], cfg["omega0"])
     payload = {
         "gamma": cfg["gamma"],
         "omega0": scales.omega0,
@@ -489,130 +449,65 @@ def cmd_scales(cfg: dict) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags win over it")
-    parser.add_argument("--beta", type=float, help="speed in units of c, 0 <= beta < 1")
-    parser.add_argument("--alpha-deg", type=float, dest="alpha_deg",
-                        help="angle between velocity and field, degrees")
-    parser.add_argument("--coupling-s", type=float, dest="coupling_s",
-                        help="moment-field coupling |mu|H/(m0 c^2)")
-    parser.add_argument("--output", help="write to this file instead of stdout")
+_COMMANDS = {
+    "eigenstate": (cmd_eigenstate, "audit a stationary spin state"),
+    "precess": (cmd_precess, "quantum polarization time series"),
+    "bmt": (cmd_bmt, "classical comparator time series"),
+    "compare": (cmd_compare, "quantum vs classical agreement report"),
+    "sweep": (cmd_sweep, "compare over a parameter grid"),
+    "scales": (cmd_scales, "relativistic timescale estimates"),
+}
 
 
-def _add_orientation(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epsilon", type=_cast_sign, help="initial orientation sign, +1 or -1")
-    parser.add_argument("--orientation", choices=_ORIENTATIONS,
-                        help="initial spin axis (default y)")
-    parser.add_argument("--theta-n-deg", type=float, dest="theta_n_deg",
-                        help="custom axis polar angle, degrees")
-    parser.add_argument("--phi-n-deg", type=float, dest="phi_n_deg",
-                        help="custom axis azimuth, degrees")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--periods", type=float, help="number of precession periods")
-    parser.add_argument("--samples-per-period", type=int, dest="samples_per_period",
-                        help="grid density, >= 16")
-
-
-def _add_physical(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--physical", action="store_const", const=True,
-                        help="emit the time column in seconds")
-    parser.add_argument("--mu", type=float, help="|mu| in J/T (with --physical)")
-    parser.add_argument("--field", type=float, help="H in T (with --physical)")
-
-
-def _add_tolerances(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol-deviation", type=float, dest="tol_deviation",
-                        help="max quantum-classical deviation (default 1e-8)")
-    parser.add_argument("--tol-invariant", type=float, dest="tol_invariant",
-                        help="max |I - 1| (default 1e-10)")
-    parser.add_argument("--tol-frequency", type=float, dest="tol_frequency",
-                        help="max relative frequency error (default 1e-6)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Parser listing every subcommand, with the flags of ``command`` alone."""
+    parser = _Parser(
         prog="spinprec",
         description="Spin precession of a neutral Dirac particle in a uniform field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eigenstate", help="audit a stationary spin state")
-    _add_common(p)
-    p.add_argument("--zeta", type=_cast_sign, help="spin branch, +1 or -1")
-    p.add_argument("--format", choices=["text", "json"], help="output format")
-
-    p = sub.add_parser("precess", help="quantum polarization time series")
-    _add_common(p)
-    _add_orientation(p)
-    _add_grid(p)
-    _add_physical(p)
-    p.add_argument("--zeta", type=_cast_sign, help="coupling sign branch")
-    p.add_argument("--tol-invariant", type=float, dest="tol_invariant",
-                   help="max |I - 1| for exit code 0")
-    p.add_argument("--format", choices=["csv", "json"], help="output format")
-
-    p = sub.add_parser("bmt", help="classical comparator time series")
-    _add_common(p)
-    _add_orientation(p)
-    _add_grid(p)
-    _add_physical(p)
-    p.add_argument("--method", choices=["exact", "rk4"], help="trajectory method")
-    p.add_argument("--steps-per-period", type=int, dest="steps_per_period",
-                   help="rk4 step density, >= 200")
-    p.add_argument("--format", choices=["csv", "json"], help="output format")
-
-    p = sub.add_parser("compare", help="quantum vs classical agreement report")
-    _add_common(p)
-    _add_orientation(p)
-    _add_grid(p)
-    _add_tolerances(p)
-    p.add_argument("--zeta", type=_cast_sign, help="coupling sign branch")
-    p.add_argument("--format", choices=["json", "table"], help="output format")
-
-    p = sub.add_parser("sweep", help="compare over a parameter grid")
-    _add_common(p)
-    _add_orientation(p)
-    _add_grid(p)
-    _add_tolerances(p)
-    p.add_argument("--zeta", type=_cast_sign, help="coupling sign branch")
-    p.add_argument("--sweep", help="grid spec, e.g. beta=0:0.95:20,alpha=0:90:10")
-
-    p = sub.add_parser("scales", help="relativistic timescale estimates")
-    p.add_argument("--config", help="key=value config file; flags win over it")
-    p.add_argument("--gamma", type=float, help="Lorentz factor, >= 1")
-    p.add_argument("--omega0", type=float, help="rest-frame angular frequency (default 1)")
-    p.add_argument("--output", help="write to this file instead of stdout")
-
+    for name, (_, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if name != command:
+            continue
+        p.add_argument("--config", help="key=value config file; flags win over it")
+        for param in PARAMS:
+            if name not in param.commands:
+                continue
+            flag = "--" + param.name.replace("_", "-")
+            text = param.help if param.default is None else f"{param.help} (default {param.default})"
+            if param.cast is _cast_bool:
+                p.add_argument(flag, dest=param.name, action="store_const", const=True, help=text)
+            else:
+                choices = _FORMATS[name] if param.name == "format" else param.choices
+                p.add_argument(flag, dest=param.name, type=param.cast, choices=choices, help=text)
     return parser
 
 
-_COMMANDS = {
-    "eigenstate": cmd_eigenstate,
-    "precess": cmd_precess,
-    "bmt": cmd_bmt,
-    "compare": cmd_compare,
-    "sweep": cmd_sweep,
-    "scales": cmd_scales,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # adding the flags of subcommands that will not run would be most of a short call
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         cfg = _merge_config(args)
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _COMMANDS[args.command][0](cfg)
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

@@ -13,7 +13,7 @@ shows up as a frequency mismatch instead of silently cancelling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,13 @@ from .superposition import PolarizationHistory, SpinSuperposition, evolve_expect
 
 #: relative amplitude below which a series counts as constant (no oscillation)
 OSCILLATION_FLOOR = 1e-9
+#: default span and density of a comparison grid
+DEFAULT_PERIODS = 10.0
+DEFAULT_SAMPLES_PER_PERIOD = 1024
+#: coarsest grid density :func:`period_grid` accepts
+MIN_SAMPLES_PER_PERIOD = 16
+#: largest grid :func:`period_grid` builds, so a typo cannot exhaust memory
+MAX_SAMPLES = 10**7
 
 _COMPONENTS = ("pi_x", "pi_y", "pi_z", "beta_pi")
 
@@ -34,6 +41,12 @@ class Tolerances:
     deviation: float = 1e-8
     invariant: float = 1e-10
     frequency_rel: float = 1e-6
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not value >= 0.0:
+                raise ValueError(f"tolerance {f.name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -170,22 +183,40 @@ def compare(
 def period_grid(
     kin: Kinematics, periods: float, samples_per_period: int
 ) -> np.ndarray:
-    """Uniform grid covering ``periods`` precession periods from t = 0."""
-    if periods <= 0:
-        raise ValueError("periods must be positive")
-    if samples_per_period < 16:
-        raise ValueError("need at least 16 samples per period")
+    """Uniform grid covering ``periods`` precession periods from t = 0.
+
+    Raises ValueError unless ``periods`` is finite and positive and the grid
+    has :data:`MIN_SAMPLES_PER_PERIOD` per period to :data:`MAX_SAMPLES` in all.
+    """
+    if not 0.0 < periods < math.inf:
+        raise ValueError(f"periods must be finite and > 0, got {periods}")
+    if samples_per_period < MIN_SAMPLES_PER_PERIOD:
+        raise ValueError(
+            f"samples-per-period must be >= {MIN_SAMPLES_PER_PERIOD}, got {samples_per_period}"
+        )
+    if samples_per_period > MAX_SAMPLES or periods * samples_per_period > MAX_SAMPLES:
+        raise ValueError(
+            f"{periods:g} periods x {samples_per_period} samples-per-period exceeds "
+            f"the {MAX_SAMPLES}-sample grid limit"
+        )
     omega = abs(precession_frequency(kin, FieldCoupling(0.0, 1)))
     n = int(round(periods * samples_per_period))
     return np.linspace(0.0, periods * TWO_PI / omega, n + 1)
+
+
+def seed_classical(history: PolarizationHistory, kin: Kinematics) -> np.ndarray:
+    """Unit rest-frame spin matching the polarization of a history's first sample."""
+    pi0 = np.array([history.pi_x[0], history.pi_y[0], history.pi_z[0]])
+    s0 = map_pi_to_rest(pi0, kin)
+    return s0 / np.linalg.norm(s0)
 
 
 def run_comparison(
     sup: SpinSuperposition,
     kin: Kinematics,
     coupling: FieldCoupling,
-    periods: float = 10.0,
-    samples_per_period: int = 1024,
+    periods: float = DEFAULT_PERIODS,
+    samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
     tolerances: Tolerances | None = None,
     orientation: str = "custom",
 ) -> tuple[ComparisonReport, PolarizationHistory, PrecessionTrajectory]:
@@ -196,10 +227,7 @@ def run_comparison(
     """
     t = period_grid(kin, periods, samples_per_period)
     quantum = evolve_expectations(sup, kin, coupling, t)
-    pi0 = np.array([quantum.pi_x[0], quantum.pi_y[0], quantum.pi_z[0]])
-    s0 = map_pi_to_rest(pi0, kin)
-    s0 = s0 / np.linalg.norm(s0)
-    classical = trajectory_exact(s0, omega_vector(kin), t, kin)
+    classical = trajectory_exact(seed_classical(quantum, kin), omega_vector(kin), t, kin)
     params = {
         "beta": kin.beta,
         "alpha": kin.alpha,

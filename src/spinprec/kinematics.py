@@ -65,10 +65,12 @@ def make_kinematics(beta: float, alpha: float) -> Kinematics:
     """Build the kinematic state for speed ``beta`` and pitch angle ``alpha``.
 
     ``alpha`` is the angle (radians) between the velocity and the field axis.
-    Raises ValueError unless 0 <= beta < 1.
+    Raises ValueError unless 0 <= beta < 1 and ``alpha`` is finite.
     """
     if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must be in [0, 1), got {beta}")
+        raise ValueError(f"beta must be < 1 and >= 0, got {beta}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     # (1-beta)*(1+beta) keeps gamma accurate as beta -> 1
     gamma = 1.0 / math.sqrt((1.0 - beta) * (1.0 + beta))
     beta_perp = beta * math.sin(alpha)
@@ -81,8 +83,8 @@ def make_coupling(
     s: float, zeta: int, warn_threshold: float = COUPLING_WARN_THRESHOLD
 ) -> FieldCoupling:
     """Validate and build a field coupling; warns when ``s`` is not small."""
-    if s < 0.0:
-        raise ValueError(f"coupling strength must be >= 0, got {s}")
+    if not 0.0 <= s < math.inf:
+        raise ValueError(f"coupling strength must be finite and >= 0, got {s}")
     if zeta not in (-1, 1):
         raise ValueError(f"zeta must be +1 or -1, got {zeta}")
     if s > warn_threshold:
@@ -129,14 +131,28 @@ def sr_scales(gamma: float, omega0: float, c_over_rho_scale: float = 1.0) -> SRS
     characteristic radiated frequency is omega0*gamma^3 and the ratio of
     the transition time to the radiation-forming time is 2*pi/gamma^4.
     ``rho = c_over_rho_scale/omega0`` is the associated curvature radius.
+    Raises ValueError unless every estimate is a finite number.
     """
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if omega0 <= 0.0:
-        raise ValueError(f"omega0 must be > 0, got {omega0}")
-    return SRScales(
-        omega0=omega0,
-        omega_max=omega0 * gamma**3,
-        rho=c_over_rho_scale / omega0,
-        time_ratio=TWO_PI / gamma**4,
-    )
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and >= 1, got {gamma}")
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
+    try:
+        omega_max = omega0 * gamma**3
+        time_ratio = TWO_PI / gamma**4
+    except OverflowError:
+        omega_max = math.inf
+    rho = c_over_rho_scale / omega0
+    if not (math.isfinite(omega_max) and math.isfinite(rho)):
+        raise ValueError(f"timescales overflow at gamma={gamma:g}, omega0={omega0:g}")
+    return SRScales(omega0=omega0, omega_max=omega_max, rho=rho, time_ratio=time_ratio)
+
+
+def check_time_grid(t_grid) -> np.ndarray:
+    """A nonempty, strictly ascending time grid as a 1-d float array."""
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t.size == 0:
+        raise ValueError("time grid must be nonempty")
+    if t.size > 1 and not np.all(np.diff(t) > 0):
+        raise ValueError("time grid must be strictly ascending")
+    return t

@@ -65,6 +65,8 @@ class MatrixElements:
 
 def spin_axis(theta_n: float, phi_n: float) -> np.ndarray:
     """Unit vector (sin(theta_n)cos(phi_n), sin(theta_n)sin(phi_n), cos(theta_n))."""
+    if not (math.isfinite(theta_n) and math.isfinite(phi_n)):
+        raise ValueError(f"spin axis angles must be finite, got {theta_n}, {phi_n}")
     st = math.sin(theta_n)
     return np.array([st * math.cos(phi_n), st * math.sin(phi_n), math.cos(theta_n)])
 
@@ -73,7 +75,7 @@ def _check_axis(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if n.shape != (3,):
         raise ValueError(f"spin axis must be a 3-vector, got shape {n.shape}")
-    if abs(np.linalg.norm(n) - 1.0) > AXIS_UNIT_TOL:
+    if not abs(np.linalg.norm(n) - 1.0) <= AXIS_UNIT_TOL:
         raise ValueError(f"spin axis must be a unit vector, |n| = {np.linalg.norm(n)!r}")
     return n
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kinematics import FieldCoupling, Kinematics, precession_frequency
+from .kinematics import FieldCoupling, Kinematics, check_time_grid, precession_frequency
 from .spinors import (
     closed_form_matrix_elements,
     matrix_element,
@@ -166,15 +166,6 @@ def initial_amplitudes_general(
     )
 
 
-def _check_grid(t_grid) -> np.ndarray:
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if t.size == 0:
-        raise ValueError("time grid must be nonempty")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise ValueError("time grid must be strictly ascending")
-    return t
-
-
 def evolve_expectations(
     sup: SpinSuperposition,
     kin: Kinematics,
@@ -192,7 +183,7 @@ def evolve_expectations(
     one that makes the Y orientation give <Pi_x>_t proportional to
     -sin(omega t).
     """
-    t = _check_grid(t_grid)
+    t = check_time_grid(t_grid)
     me_p = closed_form_matrix_elements(kin, +1)
     me_m = closed_form_matrix_elements(kin, -1)
     omega = precession_frequency(kin, replace(coupling, zeta=1))
@@ -229,7 +220,7 @@ def evolve_expectations_spinor(
     """
     if coupling.s <= 0.0:
         raise ValueError("spinor evolution needs a positive coupling strength")
-    t = _check_grid(t_grid)
+    t = check_time_grid(t_grid)
     ket_p = spin_coefficients(+1, kin)
     ket_m = spin_coefficients(-1, kin)
     mats = [pi_component_matrix(axis, kin) for axis in _AXES.values()]

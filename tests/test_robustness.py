@@ -1,0 +1,113 @@
+"""Bad input exits 2 with one line of text, never a traceback.
+
+Exit code 1 stays reserved for a failed physics check.  The fixed list
+below pins the non-finite, oversized and negative values that the library
+constructors reject; the hypothesis test throws hostile flag values at
+every subcommand.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinprec import cli
+from spinprec.cli import main
+
+REJECTED = [
+    ["precess", "--alpha-deg", "nan"],
+    ["precess", "--alpha-deg", "inf"],
+    ["eigenstate", "--alpha-deg", "-inf"],
+    ["precess", "--periods", "nan"],
+    ["bmt", "--periods", "inf"],
+    ["compare", "--periods", "nan"],
+    ["precess", "--samples-per-period", "1e12"],
+    ["precess", "--samples-per-period", "1000000000000"],
+    ["compare", "--periods", "1e300"],
+    ["precess", "--coupling-s", "nan"],
+    ["sweep", "--sweep", "beta=0:0.5:2", "--coupling-s", "inf"],
+    ["scales", "--gamma", "nan"],
+    ["scales", "--gamma", "2", "--omega0", "nan"],
+    ["scales", "--gamma", "1e300"],
+    ["compare", "--tol-deviation", "nan"],
+    ["compare", "--tol-frequency", "-1"],
+    ["sweep", "--sweep", "beta=0:0.5:2", "--tol-invariant", "-1e-9"],
+    ["precess", "--tol-invariant", "nan"],
+    ["precess", "--physical", "--mu", "nan", "--field", "1"],
+    ["bmt", "--physical", "--mu", "1e-23", "--field", "nan"],
+    ["sweep", "--sweep", "beta=0:0.5:100000000000"],
+    ["precess", "--orientation", "custom", "--theta-n-deg", "nan"],
+    ["precess", "--orientation", "custom", "--phi-n-deg", "inf"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED, ids=" ".join)
+def test_bad_value_exits_2_with_one_line(argv, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+HOSTILE = ["nan", "-nan", "inf", "-inf", "1e300", "-1", "0", "1.2.3", "", "x"]
+#: one small valid value per flag; the grid ones keep every run short
+VALID = {
+    "beta": "0.5",
+    "alpha_deg": "30",
+    "coupling_s": "0.001",
+    "zeta": "-1",
+    "epsilon": "-1",
+    "theta_n_deg": "40",
+    "phi_n_deg": "110",
+    "periods": "2",
+    "samples_per_period": "16",
+    "tol_deviation": "1e-8",
+    "tol_invariant": "1e-10",
+    "tol_frequency": "1e-6",
+    "mu": "9.284e-24",
+    "field": "1.5",
+    "sweep": "beta=0.1:0.5:2",
+    "gamma": "10",
+    "omega0": "1",
+}
+#: file-system flags stay out, and --steps-per-period keeps its default:
+#: a huge RK4 step density is slow, not an error
+UNFUZZED = {"output", "steps_per_period"}
+
+
+def _fuzzed(command):
+    return [
+        p for p in cli.PARAMS if command in p.commands and p.name not in UNFUZZED
+    ]
+
+
+def _flag_strategy(param, command):
+    flag = "--" + param.name.replace("_", "-")
+    if param.cast is cli._cast_bool:
+        return st.just([flag])
+    valid = cli._FORMATS[command] if param.name == "format" else param.choices
+    values = list(valid) if valid else [VALID[param.name]]
+    return st.sampled_from(HOSTILE + values).map(lambda v: [flag, v])
+
+
+@pytest.mark.filterwarnings("ignore::spinprec.StrongCouplingWarning")
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_never_tracebacks(command, data):
+    params = data.draw(st.lists(st.sampled_from(_fuzzed(command)), unique=True, max_size=5))
+    argv = [command]
+    if command in cli._SERIES:
+        argv += ["--periods", "2", "--samples-per-period", "16"]
+    if command == "sweep":
+        argv += ["--sweep", "beta=0.1:0.5:2"]
+    for param in params:
+        argv += data.draw(_flag_strategy(param, command))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
