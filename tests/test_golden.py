@@ -60,12 +60,18 @@ CASES = {
         for o in ORIENTATIONS
     },
     "precess_physical": ["precess", "--beta", "0.2", "--alpha-deg", "80", *TINY, *PHYSICAL],
+    "precess_physical_json": [
+        "precess", "--beta", "0.2", "--alpha-deg", "80", *TINY, *PHYSICAL, "--format", "json",
+    ],
     "precess_config": ["precess", "--config", "{golden}/precess.conf"],
     "precess_config_flags_win": [
         "precess", "--config", "{golden}/precess.conf", "--beta", "0.6", "--orientation", "y",
         "--samples-per-period", "16",
     ],
     "precess_output": ["precess", "--beta", "0.4", *TINY, "--output", "{tmp}/series.csv"],
+    "precess_output_json": [
+        "precess", "--beta", "0.4", *TINY, "--format", "json", "--output", "{tmp}/series.json",
+    ],
     "precess_strict_invariant": ["precess", *TINY, "--tol-invariant", "1e-30"],
     "precess_coarse_grid": ["precess", "--samples-per-period", "4"],
     "precess_physical_no_mu": ["precess", "--physical", "--field", "1"],
@@ -87,6 +93,9 @@ CASES = {
         "--format", "json",
     ],
     "bmt_physical": ["bmt", "--beta", "0.2", "--alpha-deg", "80", *TINY, *PHYSICAL],
+    "bmt_physical_json": [
+        "bmt", "--beta", "0.2", "--alpha-deg", "80", *TINY, *PHYSICAL, "--format", "json",
+    ],
     "bmt_config": ["bmt", "--config", "{golden}/bmt.conf"],
     "bmt_rk4_coarse_steps": ["bmt", "--method", "rk4", "--steps-per-period", "50"],
     # compare: every orientation, both formats, report file, failing tolerance
