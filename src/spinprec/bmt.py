@@ -20,7 +20,6 @@ which turns |pi|^2/gamma^2 + beta_pi^2 = |s|^2 into an identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ MIN_STEPS_PER_PERIOD = 200
 DEFAULT_STEPS_PER_PERIOD = 400
 #: refuse to grind through absurd spans with a fixed-step scheme
 MAX_PERIODS = 1.0e6
+#: most RK4 substeps one integrate call may take: MAX_PERIODS at the default density
+MAX_RK4_SUBSTEPS = int(MAX_PERIODS) * DEFAULT_STEPS_PER_PERIOD
 
 _UNIT_TOL = 1e-8
 
@@ -180,12 +181,17 @@ def integrate(
     s = np.empty((t.size, 3))
     s[0] = s0
     if w > 0.0:
-        h_max = TWO_PI / w / steps_per_period
+        dts = np.diff(t)
+        substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
+        total = float(substeps.sum())
+        if total > MAX_RK4_SUBSTEPS:
+            raise ValueError(
+                f"{total:.3g} rk4 substeps exceed the {MAX_RK4_SUBSTEPS:.0e}-substep guard"
+            )
         wv = tuple(float(c) for c in omega.omega_vec)
         cur = (float(s0[0]), float(s0[1]), float(s0[2]))
-        for i in range(1, t.size):
-            dt = float(t[i] - t[i - 1])
-            cur = _rk4_segment(cur, wv, dt, max(1, math.ceil(dt / h_max)))
+        for i, (dt, steps) in enumerate(zip(dts.tolist(), substeps.tolist()), start=1):
+            cur = _rk4_segment(cur, wv, dt, int(steps))
             s[i] = cur
     else:
         s[1:] = s0

@@ -67,6 +67,8 @@ RESIDUAL_TOL = 1e-12
 NORM_DRIFT_TOL = 1e-9
 #: most (beta, alpha) points one sweep may take
 MAX_SWEEP_POINTS = 10**6
+#: CSV rows formatted per % call
+_CSV_BLOCK_ROWS = 1024
 
 _BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -206,7 +208,12 @@ def _time_scale(cfg: dict) -> float:
         raise ValueError("--physical requires both --mu and --field")
     if not mu > 0 or not field > 0:
         raise ValueError("--mu and --field must be positive")
-    return HBAR / (2.0 * mu * field)
+    energy = 2.0 * mu * field
+    scale = HBAR / energy if energy > 0.0 else 0.0
+    # 2 mu H or the quotient can leave the float range and zero every time
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"--mu {mu:g} and --field {field:g} give no finite time scale")
+    return scale
 
 
 def _tolerances(cfg: dict) -> Tolerances:
@@ -242,20 +249,50 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    """Header line, then one row per sample with every cell as ``%.17g``."""
+    table = np.column_stack(columns)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    parts = [",".join(header) + "\n"]
+    # one % call per block of rows; blocks bound the list of boxed cells
+    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+        block = table[start : start + _CSV_BLOCK_ROWS]
+        parts.append(row * block.shape[0] % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
+def _json_array(col: np.ndarray) -> list[str]:
+    """A 1-D float array as ``json.dumps(..., indent=2)`` writes a dict value.
+
+    Returned in pieces, so that the caller copies every column only once.
+    """
+    if col.size == 0:
+        return ["[]"]
+    text = ",\n    ".join(map(float.__repr__, col.tolist()))
+    if not np.isfinite(col).all():
+        # repr spells them nan, inf and -inf, and no finite repr holds those letters
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return ["[\n    ", text, "\n  ]"]
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline.
+
+    A series, a dict of 1-D float arrays, gives the bytes its lists would,
+    without the pure-Python encoder that ``indent`` selects in ``json``.
+    """
+    series = isinstance(obj, dict) and obj and all(isinstance(v, np.ndarray) for v in obj.values())
+    if not series:
+        return json.dumps(obj, indent=2) + "\n"
+    parts = []
+    for name, col in obj.items():
+        parts += [",\n  " if parts else "{\n  ", json.dumps(name), ": ", *_json_array(col)]
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _emit_series(cfg: dict, header: list[str], columns: list[np.ndarray]) -> None:
     if cfg["format"] == "json":
-        payload = {name: col.tolist() for name, col in zip(header, columns)}
-        _emit(_json_text(payload), cfg["output"])
+        _emit(_json_text(dict(zip(header, columns))), cfg["output"])
     else:
         _emit(_csv(header, columns), cfg["output"])
 
@@ -323,8 +360,8 @@ def cmd_precess(cfg: dict) -> int:
     coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
     sup = _resolve_superposition(cfg, kin)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
-    hist = evolve_expectations(sup, kin, coupling, t)
     scale = _time_scale(cfg)
+    hist = evolve_expectations(sup, kin, coupling, t)
     header = ["t", "pi_x", "pi_y", "pi_z", "beta_pi", "invariant"]
     columns = [hist.t * scale] + [getattr(hist, name) for name in header[1:]]
     _emit_series(cfg, header, columns)
@@ -338,6 +375,7 @@ def cmd_bmt(cfg: dict) -> int:
     coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
     sup = _resolve_superposition(cfg, kin)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
+    scale = _time_scale(cfg)
     # same initial polarization as cmd_precess, so the pi columns line up
     s0 = seed_classical(evolve_expectations(sup, kin, coupling, t[:1]), kin)
     omega = omega_vector(kin)
@@ -345,7 +383,6 @@ def cmd_bmt(cfg: dict) -> int:
         traj = integrate(s0, omega, t, kin, cfg["steps_per_period"])
     else:
         traj = trajectory_exact(s0, omega, t, kin)
-    scale = _time_scale(cfg)
     header = ["t", "bmt_s_x", "bmt_s_y", "bmt_s_z", "bmt_pi_x", "bmt_pi_y", "bmt_pi_z", "bmt_beta_pi"]
     columns = [
         traj.t * scale,

@@ -8,6 +8,7 @@ every subcommand.
 
 import contextlib
 import io
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,27 @@ def test_bad_value_exits_2_with_one_line(argv, capsys):
     assert "Traceback" not in err
 
 
+#: products that leave the float range, refused before the work they would size
+OUT_OF_RANGE = [
+    ["precess", "--physical", "--mu", "1e-300", "--field", "1e-300"],
+    ["precess", "--physical", "--mu", "1e300", "--field", "1e300"],
+    ["precess", "--physical", "--mu", "inf", "--field", "1.5"],
+    ["bmt", "--method", "rk4", "--steps-per-period", "1000000000000"],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_product_exits_2_at_once(argv, capsys):
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert elapsed < 1.0
+
+
 HOSTILE = ["nan", "-nan", "inf", "-inf", "1e300", "-1", "0", "1.2.3", "", "x"]
 #: one small valid value per flag; the grid ones keep every run short
 VALID = {
@@ -74,7 +96,7 @@ VALID = {
     "omega0": "1",
 }
 #: file-system flags stay out, and --steps-per-period keeps its default:
-#: a huge RK4 step density is slow, not an error
+#: a large RK4 step density under the substep guard is slow, not an error
 UNFUZZED = {"output", "steps_per_period"}
 
 
