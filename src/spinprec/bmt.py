@@ -131,15 +131,16 @@ def _rk4_segment(s, omega_vec, dt: float, steps: int):
     wx, wy, wz = omega_vec
     sx, sy, sz = s
     h = dt / steps
+    hh = 0.5 * h
     for _ in range(steps):
         k1x = wy * sz - wz * sy
         k1y = wz * sx - wx * sz
         k1z = wx * sy - wy * sx
-        ax, ay, az = sx + 0.5 * h * k1x, sy + 0.5 * h * k1y, sz + 0.5 * h * k1z
+        ax, ay, az = sx + hh * k1x, sy + hh * k1y, sz + hh * k1z
         k2x = wy * az - wz * ay
         k2y = wz * ax - wx * az
         k2z = wx * ay - wy * ax
-        bx, by, bz = sx + 0.5 * h * k2x, sy + 0.5 * h * k2y, sz + 0.5 * h * k2z
+        bx, by, bz = sx + hh * k2x, sy + hh * k2y, sz + hh * k2z
         k3x = wy * bz - wz * by
         k3y = wz * bx - wx * bz
         k3z = wx * by - wy * bx
@@ -178,8 +179,6 @@ def integrate(
             f"span of {span * w / TWO_PI:.3g} periods exceeds the "
             f"{MAX_PERIODS:.0e}-period fixed-step guard"
         )
-    s = np.empty((t.size, 3))
-    s[0] = s0
     if w > 0.0:
         dts = np.diff(t)
         substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
@@ -190,10 +189,14 @@ def integrate(
             )
         wv = tuple(float(c) for c in omega.omega_vec)
         cur = (float(s0[0]), float(s0[1]), float(s0[2]))
-        for i, (dt, steps) in enumerate(zip(dts.tolist(), substeps.tolist()), start=1):
+        # one flat list of floats, converted once: cheaper than a NumPy row
+        # assignment per interval, and than a list of row tuples
+        flat = list(cur)
+        for dt, steps in zip(dts.tolist(), substeps.tolist()):
             cur = _rk4_segment(cur, wv, dt, int(steps))
-            s[i] = cur
+            flat.extend(cur)
+        s = np.array(flat).reshape(t.size, 3)
     else:
-        s[1:] = s0
+        s = np.tile(s0, (t.size, 1))
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)

@@ -201,13 +201,15 @@ def _resolve_superposition(cfg: dict, kin: Kinematics):
 
 def _time_scale(cfg: dict) -> float:
     """Seconds per dimensionless time unit, or 1 when staying dimensionless."""
+    mu, field = cfg["mu"], cfg["field"]
+    # checked even without --physical: a value given and never read is still bad input
+    for name, value in (("mu", mu), ("field", field)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"--{name} must be finite and > 0, got {value:g}")
     if not cfg["physical"]:
         return 1.0
-    mu, field = cfg["mu"], cfg["field"]
     if mu is None or field is None:
         raise ValueError("--physical requires both --mu and --field")
-    if not mu > 0 or not field > 0:
-        raise ValueError("--mu and --field must be positive")
     energy = 2.0 * mu * field
     scale = HBAR / energy if energy > 0.0 else 0.0
     # 2 mu H or the quotient can leave the float range and zero every time

@@ -18,7 +18,6 @@ roundoff; the second exists to audit the first.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -214,27 +213,25 @@ def evolve_expectations_spinor(
     """Brute-force audit path: evolve the 4-spinor and sandwich the matrices.
 
     The state at time t is A e^{-i gamma_+ t/(2s)} |+> + B e^{-i gamma_-
-    t/(2s)} |->.  The branch phase is evaluated as the product
-    e^{-i (gamma/(2s)) t} * e^{-/+ i (q/(2 gamma)) t} so the large common
-    phase never enters a floating-point difference.  Requires s > 0.
+    t/(2s)} |->, built for every grid time at once.  The branch phase is
+    evaluated as the product e^{-i (gamma/(2s)) t} * e^{-/+ i (q/(2 gamma)) t}
+    so the large common phase never enters a floating-point difference.
+    Requires s > 0.
     """
     if coupling.s <= 0.0:
         raise ValueError("spinor evolution needs a positive coupling strength")
     t = check_time_grid(t_grid)
     ket_p = spin_coefficients(+1, kin)
     ket_m = spin_coefficients(-1, kin)
-    mats = [pi_component_matrix(axis, kin) for axis in _AXES.values()]
+    mats = np.array([pi_component_matrix(axis, kin) for axis in _AXES.values()])
     common_rate = kin.gamma / (2.0 * coupling.s)
     rel_rate = kin.q / (2.0 * kin.gamma)
-    pi = np.empty((t.size, 3))
-    for i, ti in enumerate(t):
-        z_rel = cmath.exp(-1j * rel_rate * ti)
-        state = cmath.exp(-1j * common_rate * ti) * (
-            sup.amp_plus * z_rel * ket_p
-            + sup.amp_minus * z_rel.conjugate() * ket_m
-        )
-        for k, m in enumerate(mats):
-            pi[i, k] = matrix_element(state, m, state).real
+    z_rel = np.exp(-1j * rel_rate * t)[:, None]
+    states = np.exp(-1j * common_rate * t)[:, None] * (
+        sup.amp_plus * z_rel * ket_p + sup.amp_minus * z_rel.conj() * ket_m
+    )
+    # pi[n, k] = <state_n| mats[k] |state_n>, every sample and component at once
+    pi = np.einsum("ni,kni->nk", states.conj(), states @ mats.transpose(0, 2, 1)).real
     beta_pi = kin.beta_perp * pi[:, 0] + kin.beta_z * pi[:, 2]
     invariant = (pi**2).sum(axis=1) / kin.gamma**2 + beta_pi**2
     return PolarizationHistory(t, pi[:, 0], pi[:, 1], pi[:, 2], beta_pi, invariant)

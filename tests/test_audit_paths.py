@@ -1,0 +1,254 @@
+"""The two audit paths against the per-sample loops they replace.
+
+``evolve_expectations_spinor`` builds every 4-spinor of the grid at once
+and takes the three sandwiches in one ``einsum``; it must agree with the
+per-sample ``cmath`` loop, kept here, to roundoff scaled by gamma (the
+components of Pi grow like gamma).  ``integrate`` collects its RK4 rows in
+a list; its output must equal the old driver loop, kept here, bit for
+bit.  Both paths must also stay independent of the closed path they audit.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import spinprec.bmt
+import spinprec.superposition
+from spinprec import (
+    DegenerateOrientationError,
+    FieldCoupling,
+    PrecessionVector,
+    evolve_expectations_spinor,
+    initial_amplitudes_closed,
+    initial_amplitudes_general,
+    integrate,
+    make_kinematics,
+    map_rest_to_pi,
+    matrix_element,
+    motion_axis,
+    omega_vector,
+    period_grid,
+    pi_component_matrix,
+    spin_axis,
+    spin_coefficients,
+)
+from spinprec.kinematics import TWO_PI
+
+ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
+#: set from float64 roundoff before the vectorized path was written
+SPINOR_TOL = 1e-14
+
+gammas = st.floats(min_value=1.0001, max_value=1e4)
+alphas = st.floats(min_value=0.0, max_value=math.pi)
+signs = st.sampled_from([-1, 1])
+
+
+def kinematics(gamma, alpha):
+    return make_kinematics(math.sqrt((gamma - 1.0) * (gamma + 1.0)) / gamma, alpha)
+
+
+def superposition(orientation, epsilon, kin, theta=0.7, phi=1.9):
+    if orientation in ("x", "y", "z"):
+        return initial_amplitudes_closed(orientation, epsilon, kin)
+    n = motion_axis(kin) if orientation == "momentum" else spin_axis(theta, phi)
+    return initial_amplitudes_general(n, epsilon, kin)
+
+
+def reference_spinor(sup, kin, coupling, t):
+    """The per-sample loop: one state and three matrix elements per time."""
+    ket_p = spin_coefficients(+1, kin)
+    ket_m = spin_coefficients(-1, kin)
+    mats = [pi_component_matrix(axis, kin) for axis in np.eye(3)]
+    common_rate = kin.gamma / (2.0 * coupling.s)
+    rel_rate = kin.q / (2.0 * kin.gamma)
+    pi = np.empty((t.size, 3))
+    for i, ti in enumerate(t):
+        z_rel = cmath.exp(-1j * rel_rate * ti)
+        state = cmath.exp(-1j * common_rate * ti) * (
+            sup.amp_plus * z_rel * ket_p
+            + sup.amp_minus * z_rel.conjugate() * ket_m
+        )
+        for k, m in enumerate(mats):
+            pi[i, k] = matrix_element(state, m, state).real
+    beta_pi = kin.beta_perp * pi[:, 0] + kin.beta_z * pi[:, 2]
+    invariant = (pi**2).sum(axis=1) / kin.gamma**2 + beta_pi**2
+    return pi[:, 0], pi[:, 1], pi[:, 2], beta_pi, invariant
+
+
+def assert_spinor_matches_loop(sup, kin, coupling, t):
+    hist = evolve_expectations_spinor(sup, kin, coupling, t)
+    got = (hist.pi_x, hist.pi_y, hist.pi_z, hist.beta_pi, hist.invariant)
+    np.testing.assert_array_equal(hist.t, t)
+    for name, a, b in zip(("pi_x", "pi_y", "pi_z", "beta_pi", "invariant"), got,
+                          reference_spinor(sup, kin, coupling, t)):
+        assert a.shape == b.shape == t.shape, name
+        assert np.abs(a - b).max() <= SPINOR_TOL * kin.gamma, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    orientation=st.sampled_from(ORIENTATIONS),
+    epsilon=signs,
+    gamma=gammas,
+    alpha=alphas,
+    s=st.floats(min_value=1e-6, max_value=1e-1),
+    periods=st.floats(min_value=0.5, max_value=3.0),
+    spp=st.integers(16, 64),
+    theta=alphas,
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_spinor_path_matches_per_sample_loop(
+    orientation, epsilon, gamma, alpha, s, periods, spp, theta, phi
+):
+    kin = kinematics(gamma, alpha)
+    try:
+        sup = superposition(orientation, epsilon, kin, theta, phi)
+    except DegenerateOrientationError:
+        assume(False)
+    assert_spinor_matches_loop(sup, kin, FieldCoupling(s, 1), period_grid(kin, periods, spp))
+
+
+@pytest.mark.parametrize("t", [[0.0], [2.5], [0.0, 0.3], [1.25, 40.0]], ids=str)
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_spinor_path_on_one_and_two_samples(orientation, t):
+    kin = kinematics(3.0, 0.4)
+    sup = superposition(orientation, -1, kin)
+    assert_spinor_matches_loop(sup, kin, FieldCoupling(1e-4, 1), np.array(t))
+
+
+@pytest.mark.parametrize("s", [0.0, -1e-3])
+def test_spinor_path_refuses_nonpositive_coupling(s):
+    kin = kinematics(2.0, 0.5)
+    sup = superposition("y", 1, kin)
+    with pytest.raises(ValueError):
+        evolve_expectations_spinor(sup, kin, FieldCoupling(s, 1), [0.0, 1.0])
+
+
+def reference_rk4_segment(s, omega_vec, dt, steps):
+    wx, wy, wz = omega_vec
+    sx, sy, sz = s
+    h = dt / steps
+    for _ in range(steps):
+        k1x = wy * sz - wz * sy
+        k1y = wz * sx - wx * sz
+        k1z = wx * sy - wy * sx
+        ax, ay, az = sx + 0.5 * h * k1x, sy + 0.5 * h * k1y, sz + 0.5 * h * k1z
+        k2x = wy * az - wz * ay
+        k2y = wz * ax - wx * az
+        k2z = wx * ay - wy * ax
+        bx, by, bz = sx + 0.5 * h * k2x, sy + 0.5 * h * k2y, sz + 0.5 * h * k2z
+        k3x = wy * bz - wz * by
+        k3y = wz * bx - wx * bz
+        k3z = wx * by - wy * bx
+        cx, cy, cz = sx + h * k3x, sy + h * k3y, sz + h * k3z
+        k4x = wy * cz - wz * cy
+        k4y = wz * cx - wx * cz
+        k4z = wx * cy - wy * cx
+        sx += h * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
+        sy += h * (k1y + 2.0 * k2y + 2.0 * k3y + k4y) / 6.0
+        sz += h * (k1z + 2.0 * k2z + 2.0 * k3z + k4z) / 6.0
+    return sx, sy, sz
+
+
+def reference_integrate(s0, omega, t, kin, steps_per_period):
+    """The driver loop that assigned one NumPy row per interval."""
+    s0 = np.asarray(s0, dtype=float)
+    w = omega.magnitude
+    s = np.empty((t.size, 3))
+    s[0] = s0
+    if w > 0.0:
+        dts = np.diff(t)
+        substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
+        wv = tuple(float(c) for c in omega.omega_vec)
+        cur = (float(s0[0]), float(s0[1]), float(s0[2]))
+        for i, (dt, steps) in enumerate(zip(dts.tolist(), substeps.tolist()), start=1):
+            cur = reference_rk4_segment(cur, wv, dt, int(steps))
+            s[i] = cur
+    else:
+        s[1:] = s0
+    pi, beta_pi = map_rest_to_pi(s, kin)
+    return s, pi, beta_pi
+
+
+def assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period):
+    traj = integrate(s0, omega, t, kin, steps_per_period)
+    ref = reference_integrate(s0, omega, t, kin, steps_per_period)
+    for name, a, b in zip(("s", "pi", "beta_pi"), (traj.s, traj.pi, traj.beta_pi), ref):
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+unit_vectors = st.tuples(alphas, st.floats(min_value=0.0, max_value=2.0 * math.pi)).map(
+    lambda angles: spin_axis(*angles)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(min_value=1.0001, max_value=100.0),
+    alpha=alphas,
+    s0=unit_vectors,
+    periods=st.floats(min_value=0.25, max_value=2.0),
+    spp=st.integers(16, 64),
+    steps_per_period=st.integers(200, 600),
+)
+def test_integrate_bit_exact_on_uniform_grids(gamma, alpha, s0, periods, spp, steps_per_period):
+    kin = kinematics(gamma, alpha)
+    t = period_grid(kin, periods, spp)
+    assert_integrate_bit_exact(s0, omega_vector(kin), t, kin, steps_per_period)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(min_value=1.0001, max_value=100.0),
+    alpha=alphas,
+    s0=unit_vectors,
+    t0=st.floats(min_value=-10.0, max_value=10.0),
+    gaps=st.lists(st.floats(min_value=1e-4, max_value=3.0), min_size=1, max_size=12),
+    steps_per_period=st.integers(200, 600),
+)
+def test_integrate_bit_exact_on_nonuniform_grids(gamma, alpha, s0, t0, gaps, steps_per_period):
+    kin = kinematics(gamma, alpha)
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    assume(np.all(np.diff(t) > 0))
+    omega = omega_vector(kin)
+    substeps = np.ceil(np.diff(t) / (TWO_PI / omega.magnitude / steps_per_period))
+    # the gaps span 1e-4 to 3, so most grids mix one-substep and many-substep intervals
+    assume(len(gaps) == 1 or substeps.min() != substeps.max())
+    assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period)
+
+
+@pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [0.0, 0.5, 3.0, 3.1]], ids=str)
+def test_integrate_bit_exact_without_precession(t):
+    kin = kinematics(2.0, 0.3)
+    s0 = spin_axis(0.4, 2.2)
+    assert_integrate_bit_exact(s0, PrecessionVector(np.zeros(3)), np.array(t), kin, 400)
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("an audit path called into the code it audits")
+
+
+def test_spinor_path_needs_no_closed_path(monkeypatch):
+    kin = kinematics(5.0, 1.1)
+    sup = superposition("momentum", 1, kin)
+    t = period_grid(kin, 1.0, 16)
+    expected = evolve_expectations_spinor(sup, kin, FieldCoupling(1e-3, 1), t)
+    monkeypatch.setattr(spinprec.superposition, "closed_form_matrix_elements", _forbidden)
+    monkeypatch.setattr(spinprec.superposition, "evolve_expectations", _forbidden)
+    hist = evolve_expectations_spinor(sup, kin, FieldCoupling(1e-3, 1), t)
+    assert hist.pi_x.tobytes() == expected.pi_x.tobytes()
+
+
+def test_rk4_path_needs_no_exact_rotation(monkeypatch):
+    kin = kinematics(5.0, 1.1)
+    s0 = spin_axis(0.4, 2.2)
+    t = period_grid(kin, 1.0, 16)
+    expected = integrate(s0, omega_vector(kin), t, kin)
+    monkeypatch.setattr(spinprec.bmt, "rotate_exact", _forbidden)
+    traj = integrate(s0, omega_vector(kin), t, kin)
+    assert traj.s.tobytes() == expected.s.tobytes()

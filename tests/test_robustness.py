@@ -53,7 +53,18 @@ OUT_OF_RANGE = [
 ]
 
 
-@pytest.mark.parametrize("argv", REJECTED + OUT_OF_RANGE, ids=" ".join)
+#: --mu and --field given without --physical: never read, still checked
+UNREAD = [
+    ["precess", "--mu", "nan", "--field", "-1", "--periods", "1", "--samples-per-period", "16"],
+    ["bmt", "--mu", "nan", "--field", "-1", "--periods", "1", "--samples-per-period", "16"],
+    ["precess", "--mu", "inf"],
+    ["bmt", "--field", "0"],
+    ["bmt", "--method", "rk4", "--mu=-1e-23", "--field", "1.5"],
+    ["precess", "--format", "json", "--field", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED + OUT_OF_RANGE + UNREAD, ids=" ".join)
 def test_bad_value_exits_2_with_one_line(argv, capsys):
     start = time.perf_counter()
     code = main(argv)
@@ -63,6 +74,16 @@ def test_bad_value_exits_2_with_one_line(argv, capsys):
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert elapsed < 1.0, "refused only after the work it should have prevented"
+
+
+@pytest.mark.parametrize("command", ["precess", "bmt"])
+def test_unread_config_mu_exits_2(command, tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("mu = -1\nfield = 1.5\n")
+    assert main([command, "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --mu must be finite and > 0"), err
+    assert len(err.splitlines()) == 1, err
 
 
 HOSTILE = ["nan", "-nan", "inf", "-inf", "1e300", "-1", "0", "1.2.3", "", "x"]
