@@ -30,10 +30,8 @@ from .kinematics import TWO_PI, Kinematics, check_time_grid, motion_axis
 MIN_STEPS_PER_PERIOD = 200
 #: default; 200 leaves ~5e-8 per-period error, 400 stays under 1e-8
 DEFAULT_STEPS_PER_PERIOD = 400
-#: refuse to grind through absurd spans with a fixed-step scheme
-MAX_PERIODS = 1.0e6
-#: most RK4 substeps one integrate call may take: MAX_PERIODS at the default density
-MAX_RK4_SUBSTEPS = int(MAX_PERIODS) * DEFAULT_STEPS_PER_PERIOD
+#: most RK4 substeps one integrate call may take: 11-15 s at 1.1-1.5 us each on a 2-vCPU Xeon
+MAX_RK4_SUBSTEPS = 10**7
 
 _UNIT_TOL = 1e-8
 
@@ -173,12 +171,6 @@ def integrate(
             f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
         )
     w = omega.magnitude
-    span = float(t[-1] - t[0])
-    if w > 0.0 and span * w / TWO_PI > MAX_PERIODS:
-        raise ValueError(
-            f"span of {span * w / TWO_PI:.3g} periods exceeds the "
-            f"{MAX_PERIODS:.0e}-period fixed-step guard"
-        )
     if w > 0.0:
         dts = np.diff(t)
         substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))

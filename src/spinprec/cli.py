@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -40,7 +41,6 @@ from .compare import (
     seed_classical,
 )
 from .kinematics import (
-    Kinematics,
     make_coupling,
     make_kinematics,
     motion_axis,
@@ -103,7 +103,8 @@ class Param:
 
 
 _SERIES = ("precess", "bmt", "compare", "sweep")
-_KINEMATIC = ("eigenstate", *_SERIES)
+#: sweep takes its (beta, alpha) points from --sweep alone
+_POINT = ("eigenstate", "precess", "bmt", "compare")
 _CHECKED = ("compare", "sweep")
 _TIMED = ("precess", "bmt")
 #: output formats each subcommand offers
@@ -115,9 +116,9 @@ _FORMATS = {
 }
 
 PARAMS = (
-    Param("beta", float, 0.6, "speed in units of c, 0 <= beta < 1", _KINEMATIC),
-    Param("alpha_deg", float, 45.0, "angle between velocity and field, degrees", _KINEMATIC),
-    Param("coupling_s", float, 1e-3, "moment-field coupling |mu|H/(m0 c^2)", _SERIES),
+    Param("beta", float, 0.6, "speed in units of c, 0 <= beta < 1", _POINT),
+    Param("alpha_deg", float, 45.0, "angle between velocity and field, degrees", _POINT),
+    Param("coupling_s", float, 1e-3, "moment-field coupling |mu|H/(m0 c^2)", ("compare",)),
     Param("zeta", _cast_sign, 1, "spin branch, +1 or -1", ("eigenstate",)),
     Param("epsilon", _cast_sign, 1, "initial orientation sign, +1 or -1", _SERIES),
     Param("orientation", str, "y", "initial spin axis", _SERIES,
@@ -139,7 +140,7 @@ PARAMS = (
     Param("physical", _cast_bool, False, "emit the time column in seconds", _TIMED),
     Param("mu", float, None, "|mu| in J/T (with --physical)", _TIMED),
     Param("field", float, None, "H in T (with --physical)", _TIMED),
-    Param("output", str, None, "write to this file instead of stdout", (*_KINEMATIC, "scales")),
+    Param("output", str, None, "write to this file instead of stdout", ("eigenstate", *_SERIES, "scales")),
     Param("sweep", str, None, "grid spec, e.g. beta=0:0.95:20,alpha=0:90:10", ("sweep",)),
     Param("gamma", float, None, "Lorentz factor, >= 1", ("scales",)),
     Param("omega0", float, 1.0, "rest-frame angular frequency", ("scales",)),
@@ -148,8 +149,13 @@ PARAMS = (
 _BY_NAME = {param.name: param for param in PARAMS}
 
 
-def _load_config_file(path: str) -> dict:
-    """Parse a key=value config file; # starts a comment."""
+def _choices(param: Param, command: str) -> tuple[str, ...] | None:
+    """The values ``param`` may take on ``command``, or None for any."""
+    return _FORMATS.get(command) if param.name == "format" else param.choices
+
+
+def _load_config_file(path: str, command: str) -> dict:
+    """Parse a key=value config file for ``command``; # starts a comment."""
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -165,8 +171,9 @@ def _load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = param.cast(text.strip())
-                if param.choices and values[key] not in param.choices:
-                    raise ValueError(f"must be one of {', '.join(param.choices)}")
+                choices = _choices(param, command)
+                if choices and values[key] not in choices:
+                    raise ValueError(f"must be one of {', '.join(choices)}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
@@ -176,7 +183,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """Apply precedence flags > config file > defaults."""
     cfg = {param.name: param.default for param in PARAMS}
     if args.config:
-        cfg.update(_load_config_file(args.config))
+        cfg.update(_load_config_file(args.config, args.command))
     for name in cfg:
         value = getattr(args, name, None)
         if value is not None:
@@ -184,19 +191,19 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _resolve_kinematics(cfg: dict) -> Kinematics:
-    return make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
-
-
-def _resolve_superposition(cfg: dict, kin: Kinematics):
+def _point(cfg: dict):
+    """Kinematics, coupling and initial superposition that ``cfg`` describes."""
+    kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
+    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
+    # built for every orientation, so a bad angle is refused even when unread
+    custom = spin_axis(math.radians(cfg["theta_n_deg"]), math.radians(cfg["phi_n_deg"]))
     orientation = cfg["orientation"]
     if orientation in ("x", "y", "z"):
-        return initial_amplitudes_closed(orientation, cfg["epsilon"], kin)
-    if orientation == "momentum":
-        n = motion_axis(kin)
+        sup = initial_amplitudes_closed(orientation, cfg["epsilon"], kin)
     else:
-        n = spin_axis(math.radians(cfg["theta_n_deg"]), math.radians(cfg["phi_n_deg"]))
-    return initial_amplitudes_general(n, cfg["epsilon"], kin)
+        n = motion_axis(kin) if orientation == "momentum" else custom
+        sup = initial_amplitudes_general(n, cfg["epsilon"], kin)
+    return kin, coupling, sup
 
 
 def _time_scale(cfg: dict) -> float:
@@ -228,9 +235,7 @@ def _tolerances(cfg: dict) -> Tolerances:
 
 def _comparison(cfg: dict):
     """:func:`run_comparison` at the point ``cfg`` describes."""
-    kin = _resolve_kinematics(cfg)
-    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
-    sup = _resolve_superposition(cfg, kin)
+    kin, coupling, sup = _point(cfg)
     return run_comparison(
         sup,
         kin,
@@ -301,7 +306,7 @@ def _emit_series(cfg: dict, header: list[str], columns: list[np.ndarray]) -> Non
 
 def cmd_eigenstate(cfg: dict) -> int:
     """Audit one stationary state: residual, norm, matrix-element table."""
-    kin = _resolve_kinematics(cfg)
+    kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
     zeta = cfg["zeta"]
     psi = spin_coefficients(zeta, kin)
     norm_err = abs(float(np.linalg.norm(psi)) - 1.0)
@@ -358,9 +363,7 @@ def cmd_eigenstate(cfg: dict) -> int:
 def cmd_precess(cfg: dict) -> int:
     """Quantum polarization series on a period grid."""
     tolerances = _tolerances(cfg)
-    kin = _resolve_kinematics(cfg)
-    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
-    sup = _resolve_superposition(cfg, kin)
+    kin, coupling, sup = _point(cfg)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     scale = _time_scale(cfg)
     hist = evolve_expectations(sup, kin, coupling, t)
@@ -373,9 +376,7 @@ def cmd_precess(cfg: dict) -> int:
 
 def cmd_bmt(cfg: dict) -> int:
     """Classical comparator series seeded from the matching quantum state."""
-    kin = _resolve_kinematics(cfg)
-    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
-    sup = _resolve_superposition(cfg, kin)
+    kin, coupling, sup = _point(cfg)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     scale = _time_scale(cfg)
     # same initial polarization as cmd_precess, so the pi columns line up
@@ -415,7 +416,8 @@ def cmd_compare(cfg: dict) -> int:
 def _parse_sweep_spec(spec: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse 'beta=lo:hi:count,alpha=lo:hi:count' into value grids.
 
-    An axis left out of the spec holds its parameter's default.
+    An axis left out of the spec holds its parameter's default; a fixed
+    value is written ``lo:lo:1``.
     """
     grids = {
         "beta": np.array([_BY_NAME["beta"].default]),
@@ -501,6 +503,11 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, exit code 2."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # -1e1 and -.5 are values too, not only the -1 and -1.5 argparse knows
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
@@ -525,7 +532,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
             if param.cast is _cast_bool:
                 p.add_argument(flag, dest=param.name, action="store_const", const=True, help=text)
             else:
-                choices = _FORMATS[name] if param.name == "format" else param.choices
+                choices = _choices(param, name)
                 p.add_argument(flag, dest=param.name, type=param.cast, choices=choices, help=text)
     return parser
 

@@ -18,7 +18,7 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: default coupling strength above which first-order spin splitting is suspect
+#: coupling strength above which first-order spin splitting is suspect
 COUPLING_WARN_THRESHOLD = 1e-2
 
 
@@ -79,17 +79,15 @@ def make_kinematics(beta: float, alpha: float) -> Kinematics:
     return Kinematics(beta, alpha, gamma, beta_perp, beta_z, q)
 
 
-def make_coupling(
-    s: float, zeta: int, warn_threshold: float = COUPLING_WARN_THRESHOLD
-) -> FieldCoupling:
-    """Validate and build a field coupling; warns when ``s`` is not small."""
+def make_coupling(s: float, zeta: int) -> FieldCoupling:
+    """Validate and build a field coupling; warns above :data:`COUPLING_WARN_THRESHOLD`."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"coupling strength must be finite and >= 0, got {s}")
     if zeta not in (-1, 1):
         raise ValueError(f"zeta must be +1 or -1, got {zeta}")
-    if s > warn_threshold:
+    if s > COUPLING_WARN_THRESHOLD:
         warnings.warn(
-            f"coupling s={s:g} exceeds {warn_threshold:g}; level energies are "
+            f"coupling s={s:g} exceeds {COUPLING_WARN_THRESHOLD:g}; level energies are "
             "first order in s",
             StrongCouplingWarning,
             stacklevel=2,
@@ -124,13 +122,13 @@ def motion_axis(kin: Kinematics) -> np.ndarray:
     return np.array([math.sin(kin.alpha), 0.0, math.cos(kin.alpha)])
 
 
-def sr_scales(gamma: float, omega0: float, c_over_rho_scale: float = 1.0) -> SRScales:
+def sr_scales(gamma: float, omega0: float) -> SRScales:
     """Spin-flip timescale estimates at Lorentz factor ``gamma``.
 
     ``omega0`` is an externally supplied cyclotron-scale frequency; the
     characteristic radiated frequency is omega0*gamma^3 and the ratio of
     the transition time to the radiation-forming time is 2*pi/gamma^4.
-    ``rho = c_over_rho_scale/omega0`` is the associated curvature radius.
+    ``rho = 1/omega0`` is the associated curvature radius.
     Raises ValueError unless every estimate is a finite number.
     """
     if not 1.0 <= gamma < math.inf:
@@ -142,7 +140,7 @@ def sr_scales(gamma: float, omega0: float, c_over_rho_scale: float = 1.0) -> SRS
         time_ratio = TWO_PI / gamma**4
     except OverflowError:
         omega_max = math.inf
-    rho = c_over_rho_scale / omega0
+    rho = 1.0 / omega0
     if not (math.isfinite(omega_max) and math.isfinite(rho)):
         raise ValueError(f"timescales overflow at gamma={gamma:g}, omega0={omega0:g}")
     return SRScales(omega0=omega0, omega_max=omega_max, rho=rho, time_ratio=time_ratio)

@@ -241,6 +241,18 @@ def test_sweep_summary(capsys):
     assert all(ln.endswith(",true") for ln in lines[1:])
 
 
+def test_sweep_fixed_axis_matches_compare(capsys):
+    grid = ["--periods", "4", "--orientation", "x"]
+    code, out, _ = run(capsys, "sweep", "--sweep", "beta=0.9:0.9:1,alpha=30:30:1", *grid)
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    code, out, _ = run(capsys, "compare", "--beta", "0.9", "--alpha-deg", "30", *grid)
+    assert code == 0
+    report = json.loads(out)
+    assert row[:2] == ["0.90000000000000002", "30"]
+    assert float(row[3]) == max(report["max_abs_deviation"].values())
+
+
 def test_sweep_requires_spec(capsys):
     code, _, err = run(capsys, "sweep")
     assert code == 2

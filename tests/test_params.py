@@ -5,6 +5,8 @@ offers it: a flag and the same value in a ``--config`` file give the same
 resolved configuration, and the flag wins when both are given.
 """
 
+import argparse
+
 import pytest
 
 from spinprec import cli
@@ -53,12 +55,26 @@ def test_flag_and_config_resolve_alike(param, command, tmp_path):
     assert _resolve([command, "--config", str(conf), *_flag(param, wanted)]) == from_flag
 
 
-@pytest.mark.parametrize("key,value", [("orientation", "w"), ("method", "euler")])
+@pytest.mark.parametrize(
+    "key,value", [("orientation", "w"), ("method", "euler"), ("format", "xml")]
+)
 def test_config_file_choices_enforced(key, value, tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text(f"{key} = {value}\n")
     assert main(["precess", "--config", str(conf)]) == 2
     assert f"bad value for {key}: must be one of" in capsys.readouterr().err
+
+
+def test_config_file_format_checked_per_command(tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("format = csv\nperiods = 2\nsamples_per_period = 16\n")
+    assert main(["compare", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.endswith(
+        "bad value for format: must be one of json, table\n"
+    ), err
+    # sweep has no format and ignores the key
+    assert main(["sweep", "--config", str(conf), "--sweep", "beta=0.5:0.5:1"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -68,8 +84,49 @@ def test_config_file_choices_enforced(key, value, tmp_path, capsys):
         ["compare", "--zeta", "1"],
         ["sweep", "--sweep", "beta=0:0.5:2", "--zeta", "1"],
         ["eigenstate", "--coupling-s", "-5"],
+        ["precess", "--coupling-s", "0.002"],
+        ["bmt", "--coupling-s", "0.002"],
+        ["sweep", "--sweep", "beta=0:0.5:2", "--coupling-s", "0.002"],
+        ["sweep", "--sweep", "beta=0:0.5:2", "--beta", "0.9"],
+        ["sweep", "--sweep", "beta=0:0.5:2", "--alpha-deg", "30"],
     ],
 )
 def test_removed_flags_exit_2(argv, capsys):
     assert main(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+#: every flag each subcommand offers; a flag added or removed shows up here
+INVENTORY = {
+    "eigenstate": "--alpha-deg --beta --config --format --help --output --zeta",
+    "precess": "--alpha-deg --beta --config --epsilon --field --format --help --mu"
+    " --orientation --output --periods --phi-n-deg --physical --samples-per-period"
+    " --theta-n-deg --tol-invariant",
+    "bmt": "--alpha-deg --beta --config --epsilon --field --format --help --method --mu"
+    " --orientation --output --periods --phi-n-deg --physical --samples-per-period"
+    " --steps-per-period --theta-n-deg",
+    "compare": "--alpha-deg --beta --config --coupling-s --epsilon --format --help"
+    " --orientation --output --periods --phi-n-deg --samples-per-period --theta-n-deg"
+    " --tol-deviation --tol-frequency --tol-invariant",
+    "sweep": "--config --epsilon --help --orientation --output --periods --phi-n-deg"
+    " --samples-per-period --sweep --theta-n-deg --tol-deviation --tol-frequency"
+    " --tol-invariant",
+    "scales": "--config --gamma --help --omega0 --output",
+}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_flag_inventory(command):
+    parser = cli.build_parser(command)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in sub.choices[command]._actions for opt in a.option_strings}
+    assert " ".join(sorted(flags - {"-h"})) == INVENTORY[command]
+
+
+@pytest.mark.parametrize("spelling", [["--theta-n-deg", "-1e1"], ["--theta-n-deg=-1e1"]])
+def test_negative_value_in_e_notation(spelling, capsys):
+    argv = ["precess", "--orientation", "custom", "--periods", "1", "--samples-per-period", "16"]
+    assert main(argv + ["--theta-n-deg", "-10"]) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + spelling) == 0
+    assert capsys.readouterr().out == plain

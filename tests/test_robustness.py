@@ -41,6 +41,7 @@ REJECTED = [
     ["sweep", "--sweep", "beta=0:0.5:100000000000"],
     ["precess", "--orientation", "custom", "--theta-n-deg", "nan"],
     ["precess", "--orientation", "custom", "--phi-n-deg", "inf"],
+    ["compare", "--coupling-s", "nan"],
 ]
 
 
@@ -50,10 +51,12 @@ OUT_OF_RANGE = [
     ["precess", "--physical", "--mu", "1e300", "--field", "1e300"],
     ["precess", "--physical", "--mu", "inf", "--field", "1.5"],
     ["bmt", "--method", "rk4", "--steps-per-period", "1000000000000"],
+    ["bmt", "--method", "rk4", "--periods", "30000", "--samples-per-period", "16"],
 ]
 
 
-#: --mu and --field given without --physical: never read, still checked
+#: values the run never reads, still checked: --mu and --field without
+#: --physical, custom-axis angles on the default orientation
 UNREAD = [
     ["precess", "--mu", "nan", "--field", "-1", "--periods", "1", "--samples-per-period", "16"],
     ["bmt", "--mu", "nan", "--field", "-1", "--periods", "1", "--samples-per-period", "16"],
@@ -61,6 +64,8 @@ UNREAD = [
     ["bmt", "--field", "0"],
     ["bmt", "--method", "rk4", "--mu=-1e-23", "--field", "1.5"],
     ["precess", "--format", "json", "--field", "nan"],
+    ["precess", "--theta-n-deg", "nan"],
+    ["bmt", "--phi-n-deg", "inf"],
 ]
 
 
