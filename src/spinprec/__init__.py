@@ -34,8 +34,6 @@ from .superposition import (
     evolve_expectations_spinor,
     initial_amplitudes_closed,
     initial_amplitudes_general,
-    longitudinal_polarization,
-    spin_invariant,
 )
 from .bmt import (
     PrecessionTrajectory,
@@ -83,7 +81,6 @@ __all__ = [
     "initial_amplitudes_closed",
     "initial_amplitudes_general",
     "integrate",
-    "longitudinal_polarization",
     "make_coupling",
     "make_kinematics",
     "map_pi_to_rest",
@@ -98,7 +95,6 @@ __all__ = [
     "run_comparison",
     "spin_axis",
     "spin_coefficients",
-    "spin_invariant",
     "sr_scales",
     "trajectory_exact",
 ]

@@ -91,7 +91,7 @@ def _cast_sign(text: str) -> int:
 class Param:
     """Flag ``--name-with-hyphens`` (bare when boolean) and config key ``name``.
 
-    ``commands`` offer the flag; a config file may set any parameter.
+    ``commands`` offer the flag, and only their config files may set the key.
     """
 
     name: str
@@ -176,6 +176,8 @@ def _load_config_file(path: str, command: str) -> dict:
                     raise ValueError(f"must be one of {', '.join(choices)}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+            if command not in param.commands:
+                raise ValueError(f"{path}:{lineno}: {command} does not take {key}")
     return values
 
 
@@ -194,7 +196,8 @@ def _merge_config(args: argparse.Namespace) -> dict:
 def _point(cfg: dict):
     """Kinematics, coupling and initial superposition that ``cfg`` describes."""
     kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
-    coupling = make_coupling(cfg["coupling_s"], cfg["zeta"])
+    # no command that resolves a point offers --zeta
+    coupling = make_coupling(cfg["coupling_s"], 1)
     # built for every orientation, so a bad angle is refused even when unread
     custom = spin_axis(math.radians(cfg["theta_n_deg"]), math.radians(cfg["phi_n_deg"]))
     orientation = cfg["orientation"]
@@ -419,10 +422,8 @@ def _parse_sweep_spec(spec: str) -> tuple[np.ndarray, np.ndarray]:
     An axis left out of the spec holds its parameter's default; a fixed
     value is written ``lo:lo:1``.
     """
-    grids = {
-        "beta": np.array([_BY_NAME["beta"].default]),
-        "alpha": np.array([_BY_NAME["alpha_deg"].default]),
-    }
+    defaults = {"beta": _BY_NAME["beta"].default, "alpha": _BY_NAME["alpha_deg"].default}
+    grids = {}
     points = 1
     for part in spec.split(","):
         name, _, rng = part.partition("=")
@@ -434,13 +435,18 @@ def _parse_sweep_spec(spec: str) -> tuple[np.ndarray, np.ndarray]:
             lo, hi, count = float(pieces[0]), float(pieces[1]), int(pieces[2])
         except ValueError as exc:
             raise ValueError(f"bad sweep range {rng!r}: {exc}") from None
+        # finite only when both bounds are, and their span fits a float for linspace
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"sweep range {rng!r} must have finite bounds and span")
         points *= count
         if count < 1 or points > MAX_SWEEP_POINTS:
             raise ValueError(f"sweep grid of {points} points must have 1 to {MAX_SWEEP_POINTS}")
-        if name not in grids:
+        if name not in defaults:
             raise ValueError(f"sweep parameter must be beta or alpha, got {name!r}")
+        if name in grids:
+            raise ValueError(f"sweep parameter {name} is given twice")
         grids[name] = np.linspace(lo, hi, count)
-    return grids["beta"], grids["alpha"]
+    return tuple(grids.get(name, np.array([value])) for name, value in defaults.items())
 
 
 def cmd_sweep(cfg: dict) -> int:

@@ -74,17 +74,6 @@ class ComparisonReport:
             "params": dict(self.params),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ComparisonReport":
-        return cls(
-            max_abs_deviation=dict(d["max_abs_deviation"]),
-            extracted_frequency=d["extracted_frequency"],
-            frequency_formula=d["frequency_formula"],
-            invariant_max_error=d["invariant_max_error"],
-            passed=d["pass"],
-            params=dict(d.get("params", {})),
-        )
-
 
 def extract_frequency(t, series) -> float | None:
     """Angular frequency from linear-interpolated zero crossings.
@@ -186,7 +175,8 @@ def period_grid(
     """Uniform grid covering ``periods`` precession periods from t = 0.
 
     Raises ValueError unless ``periods`` is finite and positive and the grid
-    has :data:`MIN_SAMPLES_PER_PERIOD` per period to :data:`MAX_SAMPLES` in all.
+    has :data:`MIN_SAMPLES_PER_PERIOD` per period, and two samples to
+    :data:`MAX_SAMPLES` in all.
     """
     if not 0.0 < periods < math.inf:
         raise ValueError(f"periods must be finite and > 0, got {periods}")
@@ -199,9 +189,13 @@ def period_grid(
             f"{periods:g} periods x {samples_per_period} samples-per-period exceeds "
             f"the {MAX_SAMPLES}-sample grid limit"
         )
-    omega = abs(precession_frequency(kin, FieldCoupling(0.0, 1)))
     n = int(round(periods * samples_per_period))
-    return np.linspace(0.0, periods * TWO_PI / omega, n + 1)
+    if n < 1:
+        # one sample at t = 0 holds no oscillation, so every check would pass vacuously
+        raise ValueError(
+            f"{periods:g} periods x {samples_per_period} samples-per-period gives a one-sample grid"
+        )
+    return np.linspace(0.0, periods * TWO_PI / precession_frequency(kin), n + 1)
 
 
 def seed_classical(history: PolarizationHistory, kin: Kinematics) -> np.ndarray:
@@ -241,7 +235,7 @@ def run_comparison(
         quantum,
         classical,
         tolerances,
-        frequency_formula=abs(precession_frequency(kin, coupling)),
+        frequency_formula=precession_frequency(kin),
         params=params,
     )
     return report, quantum, classical

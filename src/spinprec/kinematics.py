@@ -4,7 +4,7 @@ Geometry: the magnetic field points along +Z and the particle moves
 uniformly in the XZ plane with velocity beta*(sin(alpha), 0, cos(alpha)),
 in units of c.  Everything downstream is dimensionless: energies in units
 of the rest energy m0*c^2, time in units of hbar/(2*|mu|*H), so a spin
-state precesses through phase omega*t with omega = zeta*sqrt(1 -
+state precesses through phase omega*t with omega = sqrt(1 -
 beta^2*cos^2(alpha)).  Physical units enter only at the CLI boundary.
 """
 
@@ -104,13 +104,14 @@ def energy_level(kin: Kinematics, coupling: FieldCoupling) -> float:
     return kin.gamma + coupling.zeta * coupling.s * (kin.q / kin.gamma)
 
 
-def precession_frequency(kin: Kinematics, coupling: FieldCoupling) -> float:
-    """Spin precession frequency zeta*sqrt(1 - beta^2*cos^2(alpha)).
+def precession_frequency(kin: Kinematics) -> float:
+    """Spin precession frequency sqrt(1 - beta^2*cos^2(alpha)).
 
-    Units 2*|mu|*H/hbar, i.e. the level splitting divided by 2*s.  Equals
-    zeta*q/gamma, which is how it is evaluated.
+    Units 2*|mu|*H/hbar, i.e. the level splitting divided by 2*s; neither
+    s nor the branch sign enters.  Equals q/gamma, which is how it is
+    evaluated.
     """
-    return coupling.zeta * (kin.q / kin.gamma)
+    return kin.q / kin.gamma
 
 
 def motion_axis(kin: Kinematics) -> np.ndarray:

@@ -19,7 +19,7 @@ roundoff; the second exists to audit the first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,12 +73,6 @@ class PolarizationHistory:
     pi_z: np.ndarray
     beta_pi: np.ndarray
     invariant: np.ndarray
-
-
-def spin_invariant(pi, beta_pi: float, gamma: float) -> float:
-    """Spin-tensor invariant |pi|^2/gamma^2 + beta_pi^2; equals 1 for pure states."""
-    pi = np.asarray(pi, dtype=float)
-    return float(pi @ pi / gamma**2 + beta_pi * beta_pi)
 
 
 def _check_epsilon(epsilon: int) -> None:
@@ -178,14 +172,14 @@ def evolve_expectations(
         <Pi_k>_t = |A|^2 <+|Pi_k|+> + |B|^2 <-|Pi_k|->
                    + 2 Re[conj(A) B e^{+i omega t} <+|Pi_k|->]
 
-    with omega the zeta=+1 precession frequency; the +i phase sign is the
-    one that makes the Y orientation give <Pi_x>_t proportional to
-    -sin(omega t).
+    with omega the precession frequency; the +i phase sign is the one that
+    makes the Y orientation give <Pi_x>_t proportional to -sin(omega t).
+    ``coupling`` is not read: no closed-form output depends on it.
     """
     t = check_time_grid(t_grid)
     me_p = closed_form_matrix_elements(kin, +1)
     me_m = closed_form_matrix_elements(kin, -1)
-    omega = precession_frequency(kin, replace(coupling, zeta=1))
+    omega = precession_frequency(kin)
     wp = abs(sup.amp_plus) ** 2
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
@@ -236,12 +230,3 @@ def evolve_expectations_spinor(
     invariant = (pi**2).sum(axis=1) / kin.gamma**2 + beta_pi**2
     return PolarizationHistory(t, pi[:, 0], pi[:, 1], pi[:, 2], beta_pi, invariant)
 
-
-def longitudinal_polarization(
-    sup: SpinSuperposition,
-    kin: Kinematics,
-    coupling: FieldCoupling,
-    t_grid,
-) -> np.ndarray:
-    """Helicity series <beta . Pi>_t, the spin projection on the motion."""
-    return evolve_expectations(sup, kin, coupling, t_grid).beta_pi

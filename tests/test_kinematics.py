@@ -82,7 +82,7 @@ def test_energy_levels_split_symmetrically():
     assert up > kin.gamma > down
     assert (up + down) / 2 == pytest.approx(kin.gamma, rel=1e-15)
     # splitting over 2s is the precession frequency
-    omega = precession_frequency(kin, FieldCoupling(1e-3, 1))
+    omega = precession_frequency(kin)
     assert (up - down) / (2 * 1e-3) == pytest.approx(omega, rel=1e-12)
 
 
@@ -92,25 +92,21 @@ def test_energy_level_zero_coupling():
 
 
 def test_frequency_reference_values():
-    coup = FieldCoupling(1e-3, 1)
-    assert precession_frequency(make_kinematics(0.6, 0.0), coup) == pytest.approx(
-        0.8, abs=1e-15
-    )
-    assert precession_frequency(make_kinematics(0.6, math.pi / 4), coup) == pytest.approx(
+    assert precession_frequency(make_kinematics(0.6, 0.0)) == pytest.approx(0.8, abs=1e-15)
+    assert precession_frequency(make_kinematics(0.6, math.pi / 4)) == pytest.approx(
         0.90553851381374166266, abs=1e-15
     )
-    assert precession_frequency(
-        make_kinematics(0.6, math.pi / 2), coup
-    ) == pytest.approx(1.0, abs=1e-15)
+    assert precession_frequency(make_kinematics(0.6, math.pi / 2)) == pytest.approx(
+        1.0, abs=1e-15
+    )
 
 
 @settings(deadline=None, max_examples=200)
-@given(betas, alphas, st.sampled_from([-1, 1]))
-def test_frequency_sign_and_magnitude(beta, alpha, zeta):
+@given(betas, alphas)
+def test_frequency_sign_and_magnitude(beta, alpha):
     kin = make_kinematics(beta, alpha)
-    omega = precession_frequency(kin, FieldCoupling(1e-3, zeta))
     root = math.sqrt(1.0 - (beta * math.cos(alpha)) ** 2)
-    assert omega == pytest.approx(zeta * root, rel=1e-12)
+    assert precession_frequency(kin) == pytest.approx(root, rel=1e-12)
 
 
 def test_motion_axis():

@@ -55,6 +55,34 @@ def test_flag_and_config_resolve_alike(param, command, tmp_path):
     assert _resolve([command, "--config", str(conf), *_flag(param, wanted)]) == from_flag
 
 
+#: every key a subcommand does not offer, with a value valid where it is offered;
+#: the last row is a sweep that once ran at the default beta, ignoring the file's
+UNOFFERED = [
+    (param, command, _values(param, param.commands[0])[0])
+    for param in PARAMS
+    for command in cli._COMMANDS
+    if command not in param.commands
+] + [(cli._BY_NAME["beta"], "sweep", "0.9")]
+#: what each subcommand needs to run when its file is accepted
+RUNNABLE = {
+    "sweep": ["--sweep", "alpha=30:30:1", "--periods", "2", "--samples-per-period", "16"],
+    "scales": ["--gamma", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "param,command,value",
+    UNOFFERED,
+    ids=[f"{command}-{param.name}={value}" for param, command, value in UNOFFERED],
+)
+def test_config_file_refuses_unoffered_key(param, command, value, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"{param.name} = {value}\n")
+    assert main([command, "--config", str(conf), *RUNNABLE.get(command, [])]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {conf}:1: {command} does not take {param.name}\n", err
+
+
 @pytest.mark.parametrize(
     "key,value", [("orientation", "w"), ("method", "euler"), ("format", "xml")]
 )
@@ -73,8 +101,8 @@ def test_config_file_format_checked_per_command(tmp_path, capsys):
     assert err.startswith("config error: ") and err.endswith(
         "bad value for format: must be one of json, table\n"
     ), err
-    # sweep has no format and ignores the key
-    assert main(["sweep", "--config", str(conf), "--sweep", "beta=0.5:0.5:1"]) == 0
+    # sweep has no format, so its config file may not set the key
+    assert main(["sweep", "--config", str(conf), "--sweep", "beta=0.5:0.5:1"]) == 2
 
 
 @pytest.mark.parametrize(

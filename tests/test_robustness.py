@@ -9,6 +9,7 @@ every subcommand.
 import contextlib
 import io
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,10 @@ REJECTED = [
     ["precess", "--orientation", "custom", "--theta-n-deg", "nan"],
     ["precess", "--orientation", "custom", "--phi-n-deg", "inf"],
     ["compare", "--coupling-s", "nan"],
+    ["compare", "--periods", "1e-9"],
+    ["sweep", "--sweep", "beta=0.1:0.9:3", "--periods", "1e-5", "--samples-per-period", "16"],
+    ["sweep", "--sweep", "beta=0:0.5:2,beta=0.7:0.9:3"],
+    ["sweep", "--sweep", "alpha=0:inf:2"],
 ]
 
 
@@ -79,6 +84,15 @@ def test_bad_value_exits_2_with_one_line(argv, capsys):
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err
     assert elapsed < 1.0, "refused only after the work it should have prevented"
+
+
+@pytest.mark.parametrize("spec", ["alpha=0:inf:2", "alpha=-1e308:1e308:3"])
+def test_sweep_range_refused_before_numpy_warns(spec, capsys):
+    # a numpy RuntimeWarning would print two more stderr lines ahead of the refusal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--sweep", spec]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["precess", "bmt"])

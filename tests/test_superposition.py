@@ -13,12 +13,10 @@ from spinprec import (
     evolve_expectations_spinor,
     initial_amplitudes_closed,
     initial_amplitudes_general,
-    longitudinal_polarization,
     make_kinematics,
     motion_axis,
     precession_frequency,
     spin_axis,
-    spin_invariant,
 )
 import spinprec.superposition as superposition
 
@@ -160,7 +158,7 @@ def test_grid_validation():
 
 def test_y_case_printed_formulas():
     kin = make_kinematics(0.6, math.pi / 4)
-    omega = precession_frequency(kin, COUP)
+    omega = precession_frequency(kin)
     root = math.sqrt(1 - (kin.beta * math.cos(kin.alpha)) ** 2)
     t = np.linspace(0.0, 3 * 2 * math.pi / omega, 2000)
     for eps in (1, -1):
@@ -172,7 +170,7 @@ def test_y_case_printed_formulas():
 
 def test_y_case_quarter_period():
     kin = make_kinematics(0.6, math.pi / 4)
-    omega = precession_frequency(kin, COUP)
+    omega = precession_frequency(kin)
     root = math.sqrt(1 - (kin.beta * math.cos(kin.alpha)) ** 2)
     hist = evolve_expectations(
         initial_amplitudes_closed("y", 1, kin), kin, COUP,
@@ -205,7 +203,7 @@ def test_z_case_stationary():
 def test_periodicity(beta, alpha, epsilon, axis):
     kin = make_kinematics(beta, alpha)
     sup = initial_amplitudes_closed(axis, epsilon, kin)
-    omega = abs(precession_frequency(kin, COUP))
+    omega = precession_frequency(kin)
     t = np.linspace(0.0, 2.0, 7)
     h0 = evolve_expectations(sup, kin, COUP, t)
     h1 = evolve_expectations(sup, kin, COUP, t + 2 * math.pi / omega)
@@ -227,13 +225,6 @@ def test_invariant_is_one(beta, alpha, epsilon, theta_n, phi_n):
     t = np.linspace(0.0, 40.0, 400)
     hist = evolve_expectations(sup, kin, COUP, t)
     assert np.abs(hist.invariant - 1.0).max() < 1e-10
-
-
-def test_spin_invariant_direct():
-    kin = make_kinematics(0.6, 0.4)
-    assert spin_invariant([0.0, kin.gamma, 0.0], 0.0, kin.gamma) == pytest.approx(
-        1.0, abs=1e-15
-    )
 
 
 @settings(deadline=None, max_examples=40)
@@ -273,12 +264,12 @@ def test_oracle_requires_positive_coupling():
 
 def test_longitudinal_motion_closed_form():
     kin = make_kinematics(0.6, math.pi / 4)
-    omega = precession_frequency(kin, COUP)
+    omega = precession_frequency(kin)
     t = np.linspace(0.0, 4 * 2 * math.pi / omega, 1500)
     g, b, ca, sa = kin.gamma, kin.beta, math.cos(kin.alpha), math.sin(kin.alpha)
     for eps in (1, -1):
         sup = initial_amplitudes_general(motion_axis(kin), eps, kin)
-        series = longitudinal_polarization(sup, kin, COUP, t)
+        series = evolve_expectations(sup, kin, COUP, t).beta_pi
         closed = (
             eps * b * (ca**2 + g**2 * sa**2 * np.cos(omega * t))
             / (g**2 * (1 - b**2 * ca**2))
@@ -289,14 +280,14 @@ def test_longitudinal_motion_closed_form():
 
 def test_longitudinal_frozen_value():
     kin = make_kinematics(0.6, math.pi / 4)
-    omega = precession_frequency(kin, COUP)
+    omega = precession_frequency(kin)
     sup = initial_amplitudes_general(motion_axis(kin), 1, kin)
-    series = longitudinal_polarization(sup, kin, COUP, [1.0 / omega])
+    series = evolve_expectations(sup, kin, COUP, [1.0 / omega]).beta_pi
     assert series[0] == pytest.approx(0.43181791678102672588, abs=1e-13)
 
 
 def test_longitudinal_y_orientation_starts_at_zero():
     kin = make_kinematics(0.6, math.pi / 4)
     sup = initial_amplitudes_closed("y", 1, kin)
-    series = longitudinal_polarization(sup, kin, COUP, [0.0])
+    series = evolve_expectations(sup, kin, COUP, [0.0]).beta_pi
     assert series[0] == pytest.approx(0.0, abs=1e-14)
