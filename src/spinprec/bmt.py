@@ -152,6 +152,14 @@ def _rk4_segment(s, omega_vec, dt: float, steps: int):
     return sx, sy, sz
 
 
+def check_steps_per_period(steps_per_period: int) -> None:
+    """Refuse an RK4 step density below :data:`MIN_STEPS_PER_PERIOD`."""
+    if steps_per_period < MIN_STEPS_PER_PERIOD:
+        raise ValueError(
+            f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
+        )
+
+
 def integrate(
     s0,
     omega: PrecessionVector,
@@ -166,10 +174,7 @@ def integrate(
     """
     s0 = _check_unit(s0, "s0")
     t = check_time_grid(t_grid)
-    if steps_per_period < MIN_STEPS_PER_PERIOD:
-        raise ValueError(
-            f"steps_per_period must be >= {MIN_STEPS_PER_PERIOD}, got {steps_per_period}"
-        )
+    check_steps_per_period(steps_per_period)
     w = omega.magnitude
     if w > 0.0:
         dts = np.diff(t)

@@ -26,6 +26,7 @@ import numpy as np
 from .bmt import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
+    check_steps_per_period,
     integrate,
     omega_vector,
     trajectory_exact,
@@ -47,6 +48,7 @@ from .kinematics import (
     sr_scales,
 )
 from .spinors import (
+    AXES,
     closed_form_matrix_elements,
     matrix_element,
     pi_component_matrix,
@@ -313,18 +315,16 @@ def cmd_eigenstate(cfg: dict) -> int:
     zeta = cfg["zeta"]
     psi = spin_coefficients(zeta, kin)
     norm_err = abs(float(np.linalg.norm(psi)) - 1.0)
-    mz = pi_component_matrix(np.array([0.0, 0.0, 1.0]), kin)
-    residual = float(np.linalg.norm(mz @ psi - zeta * kin.q * psi))
+    mats = [pi_component_matrix(axis, kin) for axis in AXES]
+    residual = float(np.linalg.norm(mats[2] @ psi - zeta * kin.q * psi))
     closed = closed_form_matrix_elements(kin, zeta)
     other = spin_coefficients(-zeta, kin)
     rows = []
     max_err = 0.0
-    for name, axis in (("x", (1.0, 0.0, 0.0)), ("y", (0.0, 1.0, 0.0)), ("z", (0.0, 0.0, 1.0))):
-        m = pi_component_matrix(np.array(axis), kin)
+    for k, (name, m) in enumerate(zip("xyz", mats)):
         diag = matrix_element(psi, m, psi)
         cross = matrix_element(other, m, psi)
-        cd = getattr(closed, f"diag_{name}")
-        cc = getattr(closed, f"cross_{name}")
+        cd, cc = complex(closed.diag[k]), complex(closed.cross[k])
         max_err = max(max_err, abs(diag - cd), abs(cross - cc))
         rows.append((name, cd, diag, cc, cross))
     ok = max(norm_err, residual, max_err) <= RESIDUAL_TOL
@@ -351,12 +351,8 @@ def cmd_eigenstate(cfg: dict) -> int:
             "matrix elements, closed form vs spinor sandwich:",
         ]
         for name, cd, diag, cc, cross in rows:
-            lines.append(
-                f"  diag_{name}:  {cd:.12g}  vs  {diag:.12g}"
-            )
-            lines.append(
-                f"  cross_{name}: {cc:.12g}  vs  {cross:.12g}"
-            )
+            lines.append(f"  diag_{name}:  {cd:.12g}  vs  {diag:.12g}")
+            lines.append(f"  cross_{name}: {cc:.12g}  vs  {cross:.12g}")
         lines.append(f"max element error: {max_err:.3e}")
         lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
         _emit("\n".join(lines) + "\n", cfg["output"])
@@ -382,6 +378,8 @@ def cmd_bmt(cfg: dict) -> int:
     kin, coupling, sup = _point(cfg)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     scale = _time_scale(cfg)
+    # checked for either method: a value given and never read is still bad input
+    check_steps_per_period(cfg["steps_per_period"])
     # same initial polarization as cmd_precess, so the pi columns line up
     s0 = seed_classical(evolve_expectations(sup, kin, coupling, t[:1]), kin)
     omega = omega_vector(kin)
@@ -390,16 +388,7 @@ def cmd_bmt(cfg: dict) -> int:
     else:
         traj = trajectory_exact(s0, omega, t, kin)
     header = ["t", "bmt_s_x", "bmt_s_y", "bmt_s_z", "bmt_pi_x", "bmt_pi_y", "bmt_pi_z", "bmt_beta_pi"]
-    columns = [
-        traj.t * scale,
-        traj.s[:, 0],
-        traj.s[:, 1],
-        traj.s[:, 2],
-        traj.pi[:, 0],
-        traj.pi[:, 1],
-        traj.pi[:, 2],
-        traj.beta_pi,
-    ]
+    columns = [traj.t * scale, *traj.s.T, *traj.pi.T, traj.beta_pi]
     _emit_series(cfg, header, columns)
     drift = float(np.abs(np.linalg.norm(traj.s, axis=1) - 1.0).max())
     return 0 if drift <= NORM_DRIFT_TOL else 1

@@ -112,16 +112,10 @@ def extract_frequency(t, series) -> float | None:
     return float(TWO_PI / period)
 
 
-def _classical_frequency(classical: PrecessionTrajectory) -> float | None:
-    """Frequency of the most strongly oscillating classical component."""
-    candidates = [
-        classical.pi[:, 0],
-        classical.pi[:, 1],
-        classical.pi[:, 2],
-        classical.beta_pi,
-    ]
+def _classical_frequency(t: np.ndarray, candidates: tuple) -> float | None:
+    """Frequency of the most strongly oscillating of the classical series."""
     spans = [float(np.ptp(c)) for c in candidates]
-    return extract_frequency(classical.t, candidates[int(np.argmax(spans))])
+    return extract_frequency(t, candidates[int(np.argmax(spans))])
 
 
 def compare(
@@ -141,14 +135,10 @@ def compare(
         quantum.t, classical.t
     ):
         raise ValueError("quantum and classical series must share one time grid")
-    dev = {
-        "pi_x": float(np.abs(quantum.pi_x - classical.pi[:, 0]).max()),
-        "pi_y": float(np.abs(quantum.pi_y - classical.pi[:, 1]).max()),
-        "pi_z": float(np.abs(quantum.pi_z - classical.pi[:, 2]).max()),
-        "beta_pi": float(np.abs(quantum.beta_pi - classical.beta_pi).max()),
-    }
+    series = (*classical.pi.T, classical.beta_pi)
+    dev = {k: float(np.abs(getattr(quantum, k) - c).max()) for k, c in zip(_COMPONENTS, series)}
     inv_err = float(np.abs(quantum.invariant - 1.0).max())
-    extracted = _classical_frequency(classical)
+    extracted = _classical_frequency(classical.t, series)
     freq_ok = True
     if extracted is not None and frequency_formula is not None:
         freq_ok = (

@@ -47,20 +47,21 @@ SIGMA4 = tuple(_block_diag(p) for p in _PAULI)
 #: rho2 in the standard Dirac representation: upper-right -i*I, lower-left +i*I
 RHO2 = np.block([[np.zeros((2, 2)), -1j * _I2], [1j * _I2, np.zeros((2, 2))]])
 
+#: row k is the axis of Pi_k, k = 0, 1, 2 for x, y, z
+AXES = np.eye(3)
+AXES.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MatrixElements:
-    """The six spin-operator matrix elements between the stationary states.
+    """Matrix elements of Pi_x, Pi_y, Pi_z between the stationary states.
 
-    ``diag_k``  = <zeta| Pi_k |zeta>, ``cross_k`` = <-zeta| Pi_k |zeta>.
+    ``diag[k]`` = <zeta| Pi_k |zeta> and ``cross[k]`` = <-zeta| Pi_k |zeta>:
+    complex arrays of shape (3,), indexed like the rows of :data:`AXES`.
     """
 
-    diag_x: complex
-    cross_x: complex
-    diag_y: complex
-    cross_y: complex
-    diag_z: complex
-    cross_z: complex
+    diag: np.ndarray
+    cross: np.ndarray
 
 
 def spin_axis(theta_n: float, phi_n: float) -> np.ndarray:
@@ -142,7 +143,7 @@ def matrix_element(bra: np.ndarray, m: np.ndarray, ket: np.ndarray) -> complex:
 
 
 def closed_form_matrix_elements(kin: Kinematics, zeta: int) -> MatrixElements:
-    """Closed forms of the six matrix elements of Pi_x, Pi_y, Pi_z.
+    """Closed forms of the matrix elements of Pi_x, Pi_y, Pi_z.
 
     With r = sqrt(1 - beta^2*cos^2(alpha)) = q/gamma:
 
@@ -153,16 +154,11 @@ def closed_form_matrix_elements(kin: Kinematics, zeta: int) -> MatrixElements:
         <zeta |Pi_z| zeta> = zeta*gamma*r
         <-zeta|Pi_z| zeta> = 0
 
-    Each equals :func:`matrix_element` evaluated on the stationary states.
+    Entry k of ``diag`` and ``cross`` equals :func:`matrix_element` of
+    Pi_k, built on row k of :data:`AXES`, between the stationary states.
     """
     if zeta not in (-1, 1):
         raise ValueError(f"zeta must be +1 or -1, got {zeta}")
     g, q = kin.gamma, kin.q
-    return MatrixElements(
-        diag_x=complex(-zeta * g * g * kin.beta_perp * kin.beta_z / q),
-        cross_x=complex(-g / q),
-        diag_y=0j,
-        cross_y=-1j * zeta * g,
-        diag_z=complex(zeta * q),
-        cross_z=0j,
-    )
+    diag = [-zeta * g * g * kin.beta_perp * kin.beta_z / q, 0.0, zeta * q]
+    return MatrixElements(np.array(diag, dtype=complex), np.array([-g / q, -1j * zeta * g, 0j]))

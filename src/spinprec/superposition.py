@@ -25,6 +25,7 @@ import numpy as np
 
 from .kinematics import FieldCoupling, Kinematics, check_time_grid, precession_frequency
 from .spinors import (
+    AXES,
     closed_form_matrix_elements,
     matrix_element,
     pi_component_matrix,
@@ -36,12 +37,6 @@ from .spinors import (
 DEGENERACY_TOL = 1e-10
 
 _PHASE_TOL = 1e-12
-
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
 
 
 class DegenerateOrientationError(ValueError):
@@ -96,9 +91,9 @@ def initial_amplitudes_closed(
     """
     _check_epsilon(epsilon)
     key = axis.lower()
-    if key not in _AXES:
+    if key not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    n = _AXES[key]
+    n = AXES["xyz".index(key)]
     if key == "y":
         a = complex(epsilon / math.sqrt(2.0))
         b = -1j / math.sqrt(2.0)
@@ -184,15 +179,9 @@ def evolve_expectations(
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
     phase = np.exp(1j * omega * t)
-    pi_x = wp * me_p.diag_x.real + wm * me_m.diag_x.real + 2.0 * np.real(
-        cw * phase * me_m.cross_x
-    )
-    pi_y = wp * me_p.diag_y.real + wm * me_m.diag_y.real + 2.0 * np.real(
-        cw * phase * me_m.cross_y
-    )
-    pi_z = wp * me_p.diag_z.real + wm * me_m.diag_z.real + 2.0 * np.real(
-        cw * phase * me_m.cross_z
-    )
+    # row k is <Pi_k>_t, each operation in the order of the formula above
+    diag = wp * me_p.diag.real + wm * me_m.diag.real
+    pi_x, pi_y, pi_z = diag[:, None] + 2.0 * np.real(cw * phase * me_m.cross[:, None])
     beta_pi = kin.beta_perp * pi_x + kin.beta_z * pi_z
     invariant = (pi_x**2 + pi_y**2 + pi_z**2) / kin.gamma**2 + beta_pi**2
     return PolarizationHistory(t, pi_x, pi_y, pi_z, beta_pi, invariant)
@@ -217,7 +206,7 @@ def evolve_expectations_spinor(
     t = check_time_grid(t_grid)
     ket_p = spin_coefficients(+1, kin)
     ket_m = spin_coefficients(-1, kin)
-    mats = np.array([pi_component_matrix(axis, kin) for axis in _AXES.values()])
+    mats = np.array([pi_component_matrix(axis, kin) for axis in AXES])
     common_rate = kin.gamma / (2.0 * coupling.s)
     rel_rate = kin.q / (2.0 * kin.gamma)
     z_rel = np.exp(-1j * rel_rate * t)[:, None]
@@ -228,5 +217,5 @@ def evolve_expectations_spinor(
     pi = np.einsum("ni,kni->nk", states.conj(), states @ mats.transpose(0, 2, 1)).real
     beta_pi = kin.beta_perp * pi[:, 0] + kin.beta_z * pi[:, 2]
     invariant = (pi**2).sum(axis=1) / kin.gamma**2 + beta_pi**2
-    return PolarizationHistory(t, pi[:, 0], pi[:, 1], pi[:, 2], beta_pi, invariant)
+    return PolarizationHistory(t, *pi.T, beta_pi, invariant)
 

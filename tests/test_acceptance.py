@@ -63,7 +63,7 @@ def eigen_audit():
         psi = spin_coefficients(int(z), kin)
         other = spin_coefficients(-int(z), kin)
         closed = closed_form_matrix_elements(kin, int(z))
-        for name in "xyz":
+        for k, name in enumerate("xyz"):
             m = pi_component_matrix(AXES[name], kin)
             if name == "z":
                 worst["residual"] = max(
@@ -72,8 +72,8 @@ def eigen_audit():
                 )
             worst["element"] = max(
                 worst["element"],
-                abs(matrix_element(psi, m, psi) - getattr(closed, f"diag_{name}")),
-                abs(matrix_element(other, m, psi) - getattr(closed, f"cross_{name}")),
+                abs(matrix_element(psi, m, psi) - closed.diag[k]),
+                abs(matrix_element(other, m, psi) - closed.cross[k]),
             )
         worst["norm"] = max(worst["norm"], abs(float(np.linalg.norm(psi)) - 1.0))
         worst["overlap"] = max(worst["overlap"], abs(np.vdot(other, psi)))

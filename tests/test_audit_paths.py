@@ -6,6 +6,9 @@ per-sample ``cmath`` loop, kept here, to roundoff scaled by gamma (the
 components of Pi grow like gamma).  ``integrate`` collects its RK4 rows in
 a list; its output must equal the old driver loop, kept here, bit for
 bit.  Both paths must also stay independent of the closed path they audit.
+The closed path ``evolve_expectations`` computes its three components in
+one broadcast; it must equal the one-expression-per-component formula,
+kept here, bit for bit.
 """
 
 import cmath
@@ -22,6 +25,8 @@ from spinprec import (
     DegenerateOrientationError,
     FieldCoupling,
     PrecessionVector,
+    closed_form_matrix_elements,
+    evolve_expectations,
     evolve_expectations_spinor,
     initial_amplitudes_closed,
     initial_amplitudes_general,
@@ -33,6 +38,7 @@ from spinprec import (
     omega_vector,
     period_grid,
     pi_component_matrix,
+    precession_frequency,
     spin_axis,
     spin_coefficients,
 )
@@ -126,6 +132,51 @@ def test_spinor_path_refuses_nonpositive_coupling(s):
     sup = superposition("y", 1, kin)
     with pytest.raises(ValueError):
         evolve_expectations_spinor(sup, kin, FieldCoupling(s, 1), [0.0, 1.0])
+
+
+def reference_closed(sup, kin, t):
+    """One expression per component, on the scalar matrix elements."""
+    p = closed_form_matrix_elements(kin, +1)
+    m = closed_form_matrix_elements(kin, -1)
+    diag_x, diag_y, diag_z = (complex(c) for c in p.diag)
+    mdiag_x, mdiag_y, mdiag_z = (complex(c) for c in m.diag)
+    cross_x, cross_y, cross_z = (complex(c) for c in m.cross)
+    wp = abs(sup.amp_plus) ** 2
+    wm = abs(sup.amp_minus) ** 2
+    cw = sup.amp_plus.conjugate() * sup.amp_minus
+    phase = np.exp(1j * precession_frequency(kin) * t)
+    pi_x = wp * diag_x.real + wm * mdiag_x.real + 2.0 * np.real(cw * phase * cross_x)
+    pi_y = wp * diag_y.real + wm * mdiag_y.real + 2.0 * np.real(cw * phase * cross_y)
+    pi_z = wp * diag_z.real + wm * mdiag_z.real + 2.0 * np.real(cw * phase * cross_z)
+    beta_pi = kin.beta_perp * pi_x + kin.beta_z * pi_z
+    invariant = (pi_x**2 + pi_y**2 + pi_z**2) / kin.gamma**2 + beta_pi**2
+    return pi_x, pi_y, pi_z, beta_pi, invariant
+
+
+@pytest.mark.parametrize("epsilon", [1, -1])
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+@settings(max_examples=30, deadline=None)
+@given(
+    gamma=gammas,
+    alpha=alphas,
+    periods=st.floats(min_value=0.1, max_value=20.0),
+    samples=st.integers(1, 2000),
+    theta=alphas,
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_closed_path_bit_exact(orientation, epsilon, gamma, alpha, periods, samples, theta, phi):
+    kin = kinematics(gamma, alpha)
+    try:
+        sup = superposition(orientation, epsilon, kin, theta, phi)
+    except DegenerateOrientationError:
+        assume(False)
+    t = np.linspace(0.0, periods * TWO_PI / precession_frequency(kin), samples)
+    hist = evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), t)
+    got = (hist.pi_x, hist.pi_y, hist.pi_z, hist.beta_pi, hist.invariant)
+    for name, a, b in zip(("pi_x", "pi_y", "pi_z", "beta_pi", "invariant"), got,
+                          reference_closed(sup, kin, t)):
+        assert a.dtype == b.dtype and a.shape == b.shape == t.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def reference_rk4_segment(s, omega_vec, dt, steps):

@@ -61,7 +61,8 @@ OUT_OF_RANGE = [
 
 
 #: values the run never reads, still checked: --mu and --field without
-#: --physical, custom-axis angles on the default orientation
+#: --physical, custom-axis angles on the default orientation, an RK4 step
+#: density with the exact method
 UNREAD = [
     ["precess", "--mu", "nan", "--field", "-1", "--periods", "1", "--samples-per-period", "16"],
     ["bmt", "--mu", "nan", "--field", "-1", "--periods", "1", "--samples-per-period", "16"],
@@ -71,15 +72,21 @@ UNREAD = [
     ["precess", "--format", "json", "--field", "nan"],
     ["precess", "--theta-n-deg", "nan"],
     ["bmt", "--phi-n-deg", "inf"],
+    ["bmt", "--steps-per-period", "-1", "--periods", "1", "--samples-per-period", "16"],
+    ["bmt", "--steps-per-period", "5"],
 ]
 
 
 @pytest.mark.parametrize("argv", REJECTED + OUT_OF_RANGE + UNREAD, ids=" ".join)
 def test_bad_value_exits_2_with_one_line(argv, capsys):
-    start = time.perf_counter()
-    code = main(argv)
-    elapsed = time.perf_counter() - start
+    # pytest would record a warning instead of printing it ahead of the refusal
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code = main(argv)
+        elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
     assert code == 2
     assert len(err.splitlines()) == 1, err
     assert "Traceback" not in err

@@ -118,31 +118,32 @@ def test_closed_forms_match_brute_force(beta, alpha, zeta):
     psi = spin_coefficients(zeta, kin)
     other = spin_coefficients(-zeta, kin)
     closed = closed_form_matrix_elements(kin, zeta)
-    for name in "xyz":
+    for k, name in enumerate("xyz"):
         m = pi_component_matrix(AXES[name], kin)
-        assert abs(matrix_element(psi, m, psi) - getattr(closed, f"diag_{name}")) < 1e-12
-        assert abs(matrix_element(other, m, psi) - getattr(closed, f"cross_{name}")) < 1e-12
+        assert abs(matrix_element(psi, m, psi) - closed.diag[k]) < 1e-12
+        assert abs(matrix_element(other, m, psi) - closed.cross[k]) < 1e-12
 
 
 def test_closed_forms_frozen_values():
     kin = make_kinematics(0.6, math.pi / 4)
     me = closed_form_matrix_elements(kin, 1)
-    assert me.diag_x == pytest.approx(-0.24847093366840472451, abs=1e-15)
-    assert me.cross_x == pytest.approx(-1.1043152607484654423, abs=1e-15)
-    assert me.diag_y == 0j
-    assert me.cross_y == pytest.approx(-1.25j, abs=1e-15)
-    assert me.diag_z == pytest.approx(1.1319231422671770783, abs=1e-15)
-    assert me.cross_z == 0j
+    assert me.diag.shape == me.cross.shape == (3,)
+    assert me.diag[0] == pytest.approx(-0.24847093366840472451, abs=1e-15)
+    assert me.cross[0] == pytest.approx(-1.1043152607484654423, abs=1e-15)
+    assert me.diag[1] == 0j
+    assert me.cross[1] == pytest.approx(-1.25j, abs=1e-15)
+    assert me.diag[2] == pytest.approx(1.1319231422671770783, abs=1e-15)
+    assert me.cross[2] == 0j
 
 
 def test_closed_forms_zeta_flip():
     kin = make_kinematics(0.7, 0.9)
     p = closed_form_matrix_elements(kin, 1)
     m = closed_form_matrix_elements(kin, -1)
-    assert m.diag_x == -p.diag_x
-    assert m.diag_z == -p.diag_z
-    assert m.cross_y == -p.cross_y
-    assert m.cross_x == p.cross_x
+    assert m.diag[0] == -p.diag[0]
+    assert m.diag[2] == -p.diag[2]
+    assert m.cross[1] == -p.cross[1]
+    assert m.cross[0] == p.cross[0]
 
 
 def test_matrix_element_hermiticity():
