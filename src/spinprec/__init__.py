@@ -42,7 +42,6 @@ from .bmt import (
     map_pi_to_rest,
     map_rest_to_pi,
     omega_vector,
-    rotate_exact,
     trajectory_exact,
 )
 from .compare import (
@@ -91,7 +90,6 @@ __all__ = [
     "period_grid",
     "pi_component_matrix",
     "precession_frequency",
-    "rotate_exact",
     "run_comparison",
     "spin_axis",
     "spin_coefficients",

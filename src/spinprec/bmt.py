@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import TWO_PI, Kinematics, check_time_grid, motion_axis
+from .kinematics import TWO_PI, Kinematics, check_time_grid, check_unit, motion_axis
 
 #: floor demanded of the cross-check integrator
 MIN_STEPS_PER_PERIOD = 200
@@ -32,8 +32,6 @@ MIN_STEPS_PER_PERIOD = 200
 DEFAULT_STEPS_PER_PERIOD = 400
 #: most RK4 substeps one integrate call may take: 11-15 s at 1.1-1.5 us each on a 2-vCPU Xeon
 MAX_RK4_SUBSTEPS = 10**7
-
-_UNIT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,32 +69,6 @@ def omega_vector(kin: Kinematics) -> PrecessionVector:
     )
 
 
-def _check_unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    if not abs(np.linalg.norm(v) - 1.0) <= _UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {np.linalg.norm(v)}")
-    return v
-
-
-def rotate_exact(s0, omega: PrecessionVector, t) -> np.ndarray:
-    """Rotate s0 about the precession axis by |Omega| t (axis-angle form).
-
-    ``t`` may be an array of times; the result then has shape ``t.shape + (3,)``.
-    """
-    s0 = _check_unit(s0, "s0")
-    t = np.asarray(t, dtype=float)
-    w = omega.magnitude
-    if w == 0.0:
-        return np.broadcast_to(s0, t.shape + (3,)).copy()
-    axis = omega.omega_vec / w
-    theta = w * t
-    c = np.cos(theta)[..., None]
-    si = np.sin(theta)[..., None]
-    return s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
-
-
 def map_rest_to_pi(s, kin: Kinematics) -> tuple[np.ndarray, np.ndarray]:
     """Lab polarization (pi, beta_pi) of rest-frame spin s; accepts (..., 3)."""
     s = np.asarray(s, dtype=float)
@@ -117,9 +89,22 @@ def map_pi_to_rest(pi, kin: Kinematics) -> np.ndarray:
 def trajectory_exact(
     s0, omega: PrecessionVector, t_grid, kin: Kinematics
 ) -> PrecessionTrajectory:
-    """Sample the exact rotation on a grid and map to lab polarization."""
+    """Rotate ``s0`` about Omega by |Omega| t at each grid time; map to lab polarization.
+
+    ``s0`` must be a unit 3-vector and ``t_grid`` nonempty, finite and strictly ascending.
+    """
+    s0 = check_unit(s0, "s0")
     t = check_time_grid(t_grid)
-    s = rotate_exact(s0, omega, t)
+    w = omega.magnitude
+    if w == 0.0:
+        s = np.tile(s0, (t.size, 1))
+    else:
+        axis = omega.omega_vec / w
+        theta = w * t
+        c, si = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        s = s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
+        # freed before the mapping, whose grid-sized arrays would else land on fresh pages
+        del theta, c, si
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)
 
@@ -172,7 +157,7 @@ def integrate(
     The step is capped at period/steps_per_period; each grid interval is
     subdivided to land exactly on the sample times.
     """
-    s0 = _check_unit(s0, "s0")
+    s0 = check_unit(s0, "s0")
     t = check_time_grid(t_grid)
     check_steps_per_period(steps_per_period)
     w = omega.magnitude

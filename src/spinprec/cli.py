@@ -18,6 +18,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -82,13 +83,6 @@ def _cast_bool(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _cast_sign(text: str) -> int:
-    value = int(text)
-    if value not in (-1, 1):
-        raise ValueError("must be +1 or -1")
-    return value
-
-
 @dataclass(frozen=True)
 class Param:
     """Flag ``--name-with-hyphens`` (bare when boolean) and config key ``name``.
@@ -101,7 +95,7 @@ class Param:
     default: object
     help: str
     commands: tuple[str, ...]
-    choices: tuple[str, ...] | None = None
+    choices: tuple | None = None
 
 
 _SERIES = ("precess", "bmt", "compare", "sweep")
@@ -121,8 +115,8 @@ PARAMS = (
     Param("beta", float, 0.6, "speed in units of c, 0 <= beta < 1", _POINT),
     Param("alpha_deg", float, 45.0, "angle between velocity and field, degrees", _POINT),
     Param("coupling_s", float, 1e-3, "moment-field coupling |mu|H/(m0 c^2)", ("compare",)),
-    Param("zeta", _cast_sign, 1, "spin branch, +1 or -1", ("eigenstate",)),
-    Param("epsilon", _cast_sign, 1, "initial orientation sign, +1 or -1", _SERIES),
+    Param("zeta", int, 1, "spin branch", ("eigenstate",), (1, -1)),
+    Param("epsilon", int, 1, "initial orientation sign", _SERIES, (1, -1)),
     Param("orientation", str, "y", "initial spin axis", _SERIES,
           ("x", "y", "z", "momentum", "custom")),
     Param("theta_n_deg", float, 0.0, "custom axis polar angle, degrees", _SERIES),
@@ -151,7 +145,7 @@ PARAMS = (
 _BY_NAME = {param.name: param for param in PARAMS}
 
 
-def _choices(param: Param, command: str) -> tuple[str, ...] | None:
+def _choices(param: Param, command: str) -> tuple | None:
     """The values ``param`` may take on ``command``, or None for any."""
     return _FORMATS.get(command) if param.name == "format" else param.choices
 
@@ -175,7 +169,7 @@ def _load_config_file(path: str, command: str) -> dict:
                 values[key] = param.cast(text.strip())
                 choices = _choices(param, command)
                 if choices and values[key] not in choices:
-                    raise ValueError(f"must be one of {', '.join(choices)}")
+                    raise ValueError(f"must be one of {', '.join(map(str, choices))}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
             if command not in param.commands:
@@ -540,15 +534,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = _merge_config(args)
-        return _COMMANDS[args.command][0](cfg)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # one stderr line per warning, without the source line that issued it
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = _merge_config(args)
+            return _COMMANDS[args.command][0](cfg)
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
 
 def entrypoint() -> None:

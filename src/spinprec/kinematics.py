@@ -6,6 +6,7 @@ in units of c.  Everything downstream is dimensionless: energies in units
 of the rest energy m0*c^2, time in units of hbar/(2*|mu|*H), so a spin
 state precesses through phase omega*t with omega = sqrt(1 -
 beta^2*cos^2(alpha)).  Physical units enter only at the CLI boundary.
+The input rules every layer shares (``check_*``) live here as well.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ TWO_PI = 2.0 * math.pi
 
 #: coupling strength above which first-order spin splitting is suspect
 COUPLING_WARN_THRESHOLD = 1e-2
+#: largest | |v| - 1 | accepted of a spin axis or a start spin
+UNIT_TOL = 1e-12
 
 
 class StrongCouplingWarning(UserWarning):
@@ -83,8 +86,7 @@ def make_coupling(s: float, zeta: int) -> FieldCoupling:
     """Validate and build a field coupling; warns above :data:`COUPLING_WARN_THRESHOLD`."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"coupling strength must be finite and >= 0, got {s}")
-    if zeta not in (-1, 1):
-        raise ValueError(f"zeta must be +1 or -1, got {zeta}")
+    check_sign("zeta", zeta)
     if s > COUPLING_WARN_THRESHOLD:
         warnings.warn(
             f"coupling s={s:g} exceeds {COUPLING_WARN_THRESHOLD:g}; level energies are "
@@ -147,11 +149,31 @@ def sr_scales(gamma: float, omega0: float) -> SRScales:
     return SRScales(omega0=omega0, omega_max=omega_max, rho=rho, time_ratio=time_ratio)
 
 
+def check_sign(name: str, value: int) -> None:
+    """Refuse a branch sign ``name`` (zeta, epsilon) other than +1 or -1."""
+    if value not in (-1, 1):
+        raise ValueError(f"{name} must be +1 or -1, got {value}")
+
+
+def check_unit(v, name: str) -> np.ndarray:
+    """``v`` as a float 3-vector, refused unless | |v| - 1 | <= :data:`UNIT_TOL`."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
+    norm = float(np.linalg.norm(v))
+    if not abs(norm - 1.0) <= UNIT_TOL:
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {norm!r}")
+    return v
+
+
 def check_time_grid(t_grid) -> np.ndarray:
-    """A nonempty, strictly ascending time grid as a 1-d float array."""
+    """A nonempty, finite, strictly ascending time grid as a 1-d float array."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t.size == 0:
         raise ValueError("time grid must be nonempty")
+    # ascending order bounds the interior by the ends
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
+        raise ValueError("time grid must be finite")
     if t.size > 1 and not np.all(np.diff(t) > 0):
         raise ValueError("time grid must be strictly ascending")
     return t

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import Kinematics
-
-AXIS_UNIT_TOL = 1e-12
+from .kinematics import Kinematics, check_sign, check_unit
 
 _I2 = np.eye(2, dtype=complex)
 _PAULI = (
@@ -72,15 +70,6 @@ def spin_axis(theta_n: float, phi_n: float) -> np.ndarray:
     return np.array([st * math.cos(phi_n), st * math.sin(phi_n), math.cos(theta_n)])
 
 
-def _check_axis(n) -> np.ndarray:
-    n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise ValueError(f"spin axis must be a 3-vector, got shape {n.shape}")
-    if not abs(np.linalg.norm(n) - 1.0) <= AXIS_UNIT_TOL:
-        raise ValueError(f"spin axis must be a unit vector, |n| = {np.linalg.norm(n)!r}")
-    return n
-
-
 def spin_coefficients(zeta: int, kin: Kinematics) -> np.ndarray:
     """Four real spin coefficients of the stationary state |zeta>.
 
@@ -94,8 +83,7 @@ def spin_coefficients(zeta: int, kin: Kinematics) -> np.ndarray:
 
     with u_pm = sqrt(1 +/- beta_z) and a_pm = sqrt((1 +/- zeta/q)/2).
     """
-    if zeta not in (-1, 1):
-        raise ValueError(f"zeta must be +1 or -1, got {zeta}")
+    check_sign("zeta", zeta)
     q = kin.q
     up = math.sqrt(1.0 + kin.beta_z)
     um = math.sqrt(1.0 - kin.beta_z)
@@ -119,11 +107,8 @@ def spin_coefficients(zeta: int, kin: Kinematics) -> np.ndarray:
 
 
 def pi_component_matrix(n, kin: Kinematics) -> np.ndarray:
-    """4x4 Hermitian matrix of the spin projection Pi . n.
-
-    ``n`` must be a unit 3-vector (tolerance 1e-12).
-    """
-    n = _check_axis(n)
+    """4x4 Hermitian matrix of the spin projection Pi . n, for a unit 3-vector ``n``."""
+    n = check_unit(n, "n")
     b = kin.gamma * np.array([kin.beta_perp, 0.0, kin.beta_z])
     sigma_cross_b = (
         SIGMA4[1] * b[2] - SIGMA4[2] * b[1],
@@ -157,8 +142,7 @@ def closed_form_matrix_elements(kin: Kinematics, zeta: int) -> MatrixElements:
     Entry k of ``diag`` and ``cross`` equals :func:`matrix_element` of
     Pi_k, built on row k of :data:`AXES`, between the stationary states.
     """
-    if zeta not in (-1, 1):
-        raise ValueError(f"zeta must be +1 or -1, got {zeta}")
+    check_sign("zeta", zeta)
     g, q = kin.gamma, kin.q
     diag = [-zeta * g * g * kin.beta_perp * kin.beta_z / q, 0.0, zeta * q]
     return MatrixElements(np.array(diag, dtype=complex), np.array([-g / q, -1j * zeta * g, 0j]))

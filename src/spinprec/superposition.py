@@ -23,14 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import FieldCoupling, Kinematics, check_time_grid, precession_frequency
+from .kinematics import (
+    FieldCoupling, Kinematics, check_sign, check_time_grid, check_unit, precession_frequency
+)
 from .spinors import (
     AXES,
     closed_form_matrix_elements,
     matrix_element,
     pi_component_matrix,
     spin_coefficients,
-    _check_axis,
 )
 
 #: doublet eigenvalues closer than this are treated as degenerate
@@ -70,11 +71,6 @@ class PolarizationHistory:
     invariant: np.ndarray
 
 
-def _check_epsilon(epsilon: int) -> None:
-    if epsilon not in (-1, 1):
-        raise ValueError(f"epsilon must be +1 or -1, got {epsilon}")
-
-
 def initial_amplitudes_closed(
     axis: str, epsilon: int, kin: Kinematics
 ) -> SpinSuperposition:
@@ -89,7 +85,7 @@ def initial_amplitudes_closed(
     Z:  the state is a single branch, epsilon playing the role of zeta;
         eigenvalue epsilon*q.
     """
-    _check_epsilon(epsilon)
+    check_sign("epsilon", epsilon)
     key = axis.lower()
     if key not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
@@ -112,7 +108,6 @@ def initial_amplitudes_closed(
 
 def doublet_matrix(n, kin: Kinematics) -> np.ndarray:
     """Spin projection on ``n`` reduced to the {|+>, |->} doublet (2x2 Hermitian)."""
-    n = _check_axis(n)
     m = pi_component_matrix(n, kin)
     states = (spin_coefficients(+1, kin), spin_coefficients(-1, kin))
     return np.array(
@@ -138,8 +133,8 @@ def initial_amplitudes_general(
     amplitude is real positive.  Reproduces the closed forms for the
     coordinate axes up to a global phase.
     """
-    _check_epsilon(epsilon)
-    n = _check_axis(n)
+    check_sign("epsilon", epsilon)
+    n = check_unit(n, "n")
     m2 = doublet_matrix(n, kin)
     vals, vecs = np.linalg.eigh(m2)
     if abs(vals[1] - vals[0]) < DEGENERACY_TOL:

@@ -10,7 +10,7 @@ API = (
     " format_report initial_amplitudes_closed initial_amplitudes_general integrate"
     " make_coupling make_kinematics map_pi_to_rest map_rest_to_pi matrix_element"
     " motion_axis omega_vector period_grid pi_component_matrix precession_frequency"
-    " rotate_exact run_comparison spin_axis spin_coefficients sr_scales trajectory_exact"
+    " run_comparison spin_axis spin_coefficients sr_scales trajectory_exact"
 )
 
 

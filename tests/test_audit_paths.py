@@ -300,6 +300,6 @@ def test_rk4_path_needs_no_exact_rotation(monkeypatch):
     s0 = spin_axis(0.4, 2.2)
     t = period_grid(kin, 1.0, 16)
     expected = integrate(s0, omega_vector(kin), t, kin)
-    monkeypatch.setattr(spinprec.bmt, "rotate_exact", _forbidden)
+    monkeypatch.setattr(spinprec.bmt, "trajectory_exact", _forbidden)
     traj = integrate(s0, omega_vector(kin), t, kin)
     assert traj.s.tobytes() == expected.s.tobytes()

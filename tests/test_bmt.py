@@ -16,7 +16,6 @@ from spinprec import (
     motion_axis,
     omega_vector,
     precession_frequency,
-    rotate_exact,
     spin_axis,
     trajectory_exact,
 )
@@ -60,8 +59,8 @@ def test_rotate_identity_and_period():
     kin = make_kinematics(0.6, math.pi / 4)
     om = omega_vector(kin)
     s0 = np.array([0.0, 1.0, 0.0])
-    assert np.allclose(rotate_exact(s0, om, 0.0), s0)
-    full = rotate_exact(s0, om, 2 * math.pi / om.magnitude)
+    assert np.allclose(trajectory_exact(s0, om, 0.0, kin).s, s0)
+    full = trajectory_exact(s0, om, 2 * math.pi / om.magnitude, kin).s
     assert np.abs(full - s0).max() < 1e-12
 
 
@@ -69,7 +68,7 @@ def test_rotate_axis_fixed_point():
     kin = make_kinematics(0.6, math.pi / 4)
     om = omega_vector(kin)
     axis = om.omega_vec / om.magnitude
-    out = rotate_exact(axis, om, 17.3)
+    out = trajectory_exact(axis, om, 17.3, kin).s
     assert np.abs(out - axis).max() < 1e-14
 
 
@@ -78,13 +77,13 @@ def test_rotate_norm_preserving():
     om = omega_vector(kin)
     s0 = spin_axis(1.0, 2.0)
     for t in np.linspace(0.0, 30.0, 11):
-        assert np.linalg.norm(rotate_exact(s0, om, t)) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(trajectory_exact(s0, om, t, kin).s) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_rotate_rejects_non_unit():
     kin = make_kinematics(0.5, 0.5)
     with pytest.raises(ValueError):
-        rotate_exact(np.array([0.0, 2.0, 0.0]), omega_vector(kin), 1.0)
+        trajectory_exact(np.array([0.0, 2.0, 0.0]), omega_vector(kin), 1.0, kin)
 
 
 def test_integrate_quarter_turn():

@@ -18,11 +18,10 @@ def _values(param, command):
     if param.name == "format":
         return cli._FORMATS[command][-1], cli._FORMATS[command][0]
     if param.choices:
-        return param.choices[-1], param.choices[0]
+        return str(param.choices[-1]), str(param.choices[0])
     return {
         float: ("0.25", "0.5"),
         int: ("32", "64"),
-        cli._cast_sign: ("-1", "1"),
         cli._cast_bool: ("yes", "no"),
         str: ("beta=0:0.5:2", "alpha=0:90:2"),
     }[param.cast]

@@ -79,7 +79,8 @@ UNREAD = [
 
 @pytest.mark.parametrize("argv", REJECTED + OUT_OF_RANGE + UNREAD, ids=" ".join)
 def test_bad_value_exits_2_with_one_line(argv, capsys):
-    # pytest would record a warning instead of printing it ahead of the refusal
+    # main prints each warning as one stderr line, so a warning ahead of the
+    # refusal shows as a second line; "always" keeps one already seen from hiding
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         start = time.perf_counter()
@@ -149,7 +150,7 @@ def _flag_strategy(param, command):
     if param.cast is cli._cast_bool:
         return st.just([flag])
     valid = cli._FORMATS[command] if param.name == "format" else param.choices
-    values = list(valid) if valid else [VALID[param.name]]
+    values = list(map(str, valid)) if valid else [VALID[param.name]]
     return st.sampled_from(HOSTILE + values).map(lambda v: [flag, v])
 
 
