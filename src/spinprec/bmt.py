@@ -74,8 +74,16 @@ def map_rest_to_pi(s, kin: Kinematics) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(s, dtype=float)
     bhat = motion_axis(kin)
     proj = s @ bhat
-    pi = kin.gamma * s - (kin.gamma - 1.0) * proj[..., None] * bhat
-    return pi, kin.beta * proj
+    scaled = (kin.gamma - 1.0) * proj
+    # component-major: pi[..., j] is the contiguous row j of pi_rows, computed in place
+    pi_rows = np.empty((3,) + s.shape[:-1])
+    term = np.empty(s.shape[:-1])
+    for j in range(3):
+        row = pi_rows[j, ...]
+        np.multiply(s[..., j], kin.gamma, out=row)
+        np.multiply(scaled, bhat[j], out=term)
+        row -= term
+    return np.moveaxis(pi_rows, 0, -1), kin.beta * proj
 
 
 def map_pi_to_rest(pi, kin: Kinematics) -> np.ndarray:
@@ -100,11 +108,25 @@ def trajectory_exact(
         s = np.tile(s0, (t.size, 1))
     else:
         axis = omega.omega_vec / w
-        theta = w * t
-        c, si = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        s = s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
+        cross = np.cross(axis, s0)
+        along = axis * (axis @ s0)
+        c = w * t
+        si = np.sin(c)
+        np.cos(c, out=c)
+        one_minus_c = 1.0 - c
+        s = np.empty((t.size, 3))
+        row = np.empty(t.size)
+        term = np.empty(t.size)
+        for j in range(3):
+            # (s0_j c + cross_j si) + along_j (1 - c), the Rodrigues sum in its vector order
+            np.multiply(c, s0[j], out=row)
+            np.multiply(si, cross[j], out=term)
+            row += term
+            np.multiply(one_minus_c, along[j], out=term)
+            row += term
+            s[:, j] = row
         # freed before the mapping, whose grid-sized arrays would else land on fresh pages
-        del theta, c, si
+        del c, si, one_minus_c, row, term
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)
 

@@ -92,12 +92,12 @@ def extract_frequency(t, series) -> float | None:
     if float(np.abs(y).max()) < OSCILLATION_FLOOR * scale:
         return None
     idx = np.nonzero(np.diff(np.signbit(y)))[0]
-    crossings = []
-    for i in idx:
-        dy = y[i + 1] - y[i]
-        if dy == 0.0:
-            continue
-        crossings.append(t[i] - y[i] * (t[i + 1] - t[i]) / dy)
+    y0, y1, t0, t1 = y[idx], y[idx + 1], t[idx], t[idx + 1]
+    dy = y1 - y0
+    keep = dy != 0.0
+    y0, t0, t1, dy = y0[keep], t0[keep], t1[keep], dy[keep]
+    # linear interpolation to each crossing, one array operation per step
+    crossings = t0 - y0 * (t1 - t0) / dy
     if len(crossings) < 2:
         raise ValueError("series must span at least two zero crossings")
     if len(crossings) >= 3:

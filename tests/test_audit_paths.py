@@ -8,7 +8,9 @@ a list; its output must equal the old driver loop, kept here, bit for
 bit.  Both paths must also stay independent of the closed path they audit.
 The closed path ``evolve_expectations`` computes its three components in
 one broadcast; it must equal the one-expression-per-component formula,
-kept here, bit for bit.
+kept here, bit for bit.  The exact rotation ``trajectory_exact`` and the
+boost ``map_rest_to_pi`` compute one contiguous row per component; they
+must equal the ``(N, 1) x (3,)`` broadcasts, kept here, bit for bit.
 """
 
 import cmath
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import spinprec.bmt
 import spinprec.superposition
@@ -41,7 +44,9 @@ from spinprec import (
     precession_frequency,
     spin_axis,
     spin_coefficients,
+    trajectory_exact,
 )
+from spinprec.compare import seed_classical
 from spinprec.kinematics import TWO_PI
 
 ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
@@ -225,12 +230,17 @@ def reference_integrate(s0, omega, t, kin, steps_per_period):
     return s, pi, beta_pi
 
 
+def assert_same_bits(got, ref, names=("s", "pi", "beta_pi")):
+    for name, a, b in zip(names, got, ref, strict=True):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
 def assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period):
     traj = integrate(s0, omega, t, kin, steps_per_period)
     ref = reference_integrate(s0, omega, t, kin, steps_per_period)
-    for name, a, b in zip(("s", "pi", "beta_pi"), (traj.s, traj.pi, traj.beta_pi), ref):
-        assert a.dtype == b.dtype and a.shape == b.shape, name
-        assert a.tobytes() == b.tobytes(), name
+    assert_same_bits((traj.s, traj.pi, traj.beta_pi), ref)
 
 
 unit_vectors = st.tuples(alphas, st.floats(min_value=0.0, max_value=2.0 * math.pi)).map(
@@ -278,6 +288,111 @@ def test_integrate_bit_exact_without_precession(t):
     kin = kinematics(2.0, 0.3)
     s0 = spin_axis(0.4, 2.2)
     assert_integrate_bit_exact(s0, PrecessionVector(np.zeros(3)), np.array(t), kin, 400)
+
+
+def reference_map_rest_to_pi(s, kin):
+    """The boost as one broadcast of the (..., 1) projections against the (3,) axis."""
+    s = np.asarray(s, dtype=float)
+    bhat = motion_axis(kin)
+    proj = s @ bhat
+    pi = kin.gamma * s - (kin.gamma - 1.0) * proj[..., None] * bhat
+    return pi, kin.beta * proj
+
+
+def reference_trajectory_exact(s0, omega, t, kin):
+    """Rodrigues' formula as (N, 1) x (3,) broadcasts, then the reference boost."""
+    w = omega.magnitude
+    if w == 0.0:
+        s = np.tile(s0, (t.size, 1))
+    else:
+        axis = omega.omega_vec / w
+        theta = w * t
+        c, si = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        s = s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
+    return (s, *reference_map_rest_to_pi(s, kin))
+
+
+def assert_exact_rotation_bit_exact(s0, omega, t, kin):
+    traj = trajectory_exact(s0, omega, t, kin)
+    assert traj.t.tobytes() == t.tobytes()
+    assert_same_bits((traj.s, traj.pi, traj.beta_pi), reference_trajectory_exact(s0, omega, t, kin))
+
+
+exact_gammas = st.floats(min_value=1.0001, max_value=1e3)
+#: the five orientations seed s0 from the quantum state at t = 0; "random" draws it
+seeds = st.sampled_from(ORIENTATIONS + ("random",))
+
+
+def rotation_start(seed, kin, s0, theta, phi):
+    if seed == "random":
+        return s0
+    try:
+        sup = superposition(seed, 1, kin, theta, phi)
+    except DegenerateOrientationError:
+        assume(False)
+    return seed_classical(evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), [0.0]), kin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=seeds,
+    gamma=exact_gammas,
+    alpha=alphas,
+    s0=unit_vectors,
+    periods=st.floats(min_value=0.1, max_value=20.0),
+    samples=st.integers(1, 3000),
+    theta=alphas,
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_exact_rotation_bit_exact_on_uniform_grids(seed, gamma, alpha, s0, periods, samples, theta, phi):
+    kin = kinematics(gamma, alpha)
+    s0 = rotation_start(seed, kin, s0, theta, phi)
+    omega = omega_vector(kin)
+    t = np.linspace(0.0, periods * TWO_PI / omega.magnitude, samples)
+    assert_exact_rotation_bit_exact(s0, omega, t, kin)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=seeds,
+    gamma=exact_gammas,
+    alpha=alphas,
+    s0=unit_vectors,
+    t0=st.floats(min_value=-1e3, max_value=1e3),
+    gaps=st.lists(st.floats(min_value=1e-6, max_value=50.0), min_size=0, max_size=300),
+    theta=alphas,
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_exact_rotation_bit_exact_on_nonuniform_grids(seed, gamma, alpha, s0, t0, gaps, theta, phi):
+    kin = kinematics(gamma, alpha)
+    s0 = rotation_start(seed, kin, s0, theta, phi)
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    assume(np.all(np.diff(t) > 0))
+    assert_exact_rotation_bit_exact(s0, omega_vector(kin), t, kin)
+
+
+@pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [-2.0, 0.5, 3.0, 3.1]], ids=str)
+def test_exact_rotation_bit_exact_without_precession(t):
+    kin = kinematics(2.0, 0.3)
+    assert_exact_rotation_bit_exact(spin_axis(0.4, 2.2), PrecessionVector(np.zeros(3)), np.array(t), kin)
+
+
+spin_components = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gamma=exact_gammas,
+    alpha=alphas,
+    s=st.one_of(
+        hnp.arrays(float, 3, elements=spin_components),
+        hnp.arrays(float, st.tuples(st.integers(1, 500), st.just(3)), elements=spin_components),
+        unit_vectors,
+    ),
+)
+def test_boost_bit_exact_on_vectors_and_stacks(gamma, alpha, s):
+    kin = kinematics(gamma, alpha)
+    assert_same_bits(map_rest_to_pi(s, kin), reference_map_rest_to_pi(s, kin), ("pi", "beta_pi"))
 
 
 def _forbidden(*args, **kwargs):

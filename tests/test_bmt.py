@@ -185,6 +185,19 @@ def test_map_accepts_stacked_vectors():
     assert np.abs(map_pi_to_rest(pi, kin) - s).max() < 1e-12
 
 
+def test_trajectory_layout():
+    # s is row-major for the boost's matvec; pi is component-major, so each pi.T row is contiguous
+    kin = make_kinematics(0.7, 0.8)
+    t = np.linspace(0.0, 3 * period(kin), 101)
+    for traj in (
+        trajectory_exact(spin_axis(0.3, 0.1), omega_vector(kin), t, kin),
+        integrate(spin_axis(0.3, 0.1), omega_vector(kin), t, kin),
+    ):
+        assert traj.s.shape == traj.pi.shape == (t.size, 3)
+        assert traj.s.flags.c_contiguous
+        assert all(row.flags.c_contiguous for row in traj.pi.T)
+
+
 def test_z_orientation_maps_onto_precession_axis():
     # stationary quantum state: its classical image must sit on the axis
     kin = make_kinematics(0.6, math.pi / 4)

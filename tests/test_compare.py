@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinprec import (
     FieldCoupling,
@@ -22,6 +25,8 @@ from spinprec import (
     run_comparison,
     trajectory_exact,
 )
+from spinprec.compare import OSCILLATION_FLOOR
+from spinprec.kinematics import TWO_PI
 from spinprec.superposition import evolve_expectations
 
 COUP = FieldCoupling(1e-3, 1)
@@ -61,6 +66,73 @@ def test_extract_frequency_too_short():
 def test_extract_frequency_shape_checks():
     with pytest.raises(ValueError):
         extract_frequency(np.zeros(5), np.zeros(6))
+
+
+def reference_extract_frequency(t, series):
+    """The crossing loop: one interpolated crossing per sign change, in Python."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(series, dtype=float)
+    y = y - y.mean()
+    scale = max(1.0, float(np.abs(series).max()))
+    if float(np.abs(y).max()) < OSCILLATION_FLOOR * scale:
+        return None
+    crossings = []
+    for i in np.nonzero(np.diff(np.signbit(y)))[0]:
+        dy = y[i + 1] - y[i]
+        if dy == 0.0:
+            continue
+        crossings.append(t[i] - y[i] * (t[i + 1] - t[i]) / dy)
+    if len(crossings) < 2:
+        raise ValueError("series must span at least two zero crossings")
+    if len(crossings) >= 3:
+        last = len(crossings) - 1
+        if last % 2 == 1:
+            last -= 1
+        period = (crossings[last] - crossings[0]) / (last // 2)
+    else:
+        period = 2.0 * (crossings[1] - crossings[0])
+    return float(TWO_PI / period)
+
+
+def _outcome(fn, t, y):
+    try:
+        f = fn(t, y)
+    except (ValueError, RuntimeWarning) as exc:
+        return type(exc)
+    return None if f is None else f.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t0=st.floats(min_value=-100.0, max_value=100.0),
+    gaps=hnp.arrays(float, st.integers(1, 400), elements=st.floats(min_value=1e-3, max_value=2.0)),
+    w=st.floats(min_value=0.05, max_value=3.0),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    offset=st.floats(min_value=-0.9, max_value=0.9),
+)
+def test_extract_frequency_matches_crossing_loop_on_sinusoids(t0, gaps, w, phase, offset):
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    y = offset + np.cos(w * t + phase)
+    assert _outcome(extract_frequency, t, y) == _outcome(reference_extract_frequency, t, y)
+
+
+small_integers = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    y=st.one_of(
+        hnp.arrays(float, st.integers(1, 60), elements=small_integers | st.floats(-10.0, 10.0)),
+        # h then -h sums to exactly 0, so the signed zeros survive the mean subtraction
+        # and a step from -0.0 to 0.0 is a sign change with dy == 0, which both skip
+        hnp.arrays(float, st.integers(1, 30), elements=small_integers).map(
+            lambda h: np.concatenate([h, -h])
+        ),
+    ),
+)
+def test_extract_frequency_matches_crossing_loop_on_rough_series(y):
+    t = np.arange(y.size) * 0.25
+    assert _outcome(extract_frequency, t, y) == _outcome(reference_extract_frequency, t, y)
 
 
 def test_extract_frequency_engine_series():
