@@ -26,7 +26,6 @@ from .spinors import (
     spin_coefficients,
 )
 from .superposition import (
-    DegenerateOrientationError,
     PolarizationHistory,
     SpinSuperposition,
     doublet_matrix,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ComparisonReport",
-    "DegenerateOrientationError",
     "FieldCoupling",
     "Kinematics",
     "MatrixElements",

@@ -125,8 +125,6 @@ def trajectory_exact(
             np.multiply(one_minus_c, along[j], out=term)
             row += term
             s[:, j] = row
-        # freed before the mapping, whose grid-sized arrays would else land on fresh pages
-        del c, si, one_minus_c, row, term
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)
 

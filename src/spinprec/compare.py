@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bmt import PrecessionTrajectory, omega_vector, trajectory_exact, map_pi_to_rest
-from .kinematics import TWO_PI, FieldCoupling, Kinematics, precession_frequency
+from .kinematics import TWO_PI, FieldCoupling, Kinematics, check_time_grid, precession_frequency
 from .superposition import PolarizationHistory, SpinSuperposition, evolve_expectations
 
 #: relative amplitude below which a series counts as constant (no oscillation)
@@ -59,7 +59,7 @@ class ComparisonReport:
 
     max_abs_deviation: dict
     extracted_frequency: float | None
-    frequency_formula: float | None
+    frequency_formula: float
     invariant_max_error: float
     passed: bool
     params: dict = field(default_factory=dict)
@@ -87,6 +87,7 @@ def extract_frequency(t, series) -> float | None:
     y = np.asarray(series, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("t and series must be 1-d arrays of equal length")
+    check_time_grid(t)
     y = y - y.mean()
     scale = max(1.0, float(np.abs(series).max()))
     if float(np.abs(y).max()) < OSCILLATION_FLOOR * scale:
@@ -112,38 +113,31 @@ def extract_frequency(t, series) -> float | None:
     return float(TWO_PI / period)
 
 
-def _classical_frequency(t: np.ndarray, candidates: tuple) -> float | None:
-    """Frequency of the most strongly oscillating of the classical series."""
-    spans = [float(np.ptp(c)) for c in candidates]
-    return extract_frequency(t, candidates[int(np.argmax(spans))])
-
-
 def compare(
     quantum: PolarizationHistory,
     classical: PrecessionTrajectory,
     tolerances: Tolerances | None = None,
-    frequency_formula: float | None = None,
+    *,
+    frequency_formula: float,
     params: dict | None = None,
 ) -> ComparisonReport:
     """Componentwise deviation, invariant drift and frequency check.
 
     Both inputs must share one time grid; anything else is a structural
-    error, not a physics failure.
+    error, not a physics failure.  The classical series that oscillates
+    most must run at ``frequency_formula``.
     """
     tol = tolerances or Tolerances()
-    if quantum.t.shape != classical.t.shape or not np.array_equal(
-        quantum.t, classical.t
-    ):
+    if not np.array_equal(quantum.t, classical.t):
         raise ValueError("quantum and classical series must share one time grid")
     series = (*classical.pi.T, classical.beta_pi)
     dev = {k: float(np.abs(getattr(quantum, k) - c).max()) for k, c in zip(_COMPONENTS, series)}
     inv_err = float(np.abs(quantum.invariant - 1.0).max())
-    extracted = _classical_frequency(classical.t, series)
-    freq_ok = True
-    if extracted is not None and frequency_formula is not None:
-        freq_ok = (
-            abs(extracted - frequency_formula) <= tol.frequency_rel * abs(frequency_formula)
-        )
+    spans = [float(np.ptp(c)) for c in series]
+    extracted = extract_frequency(classical.t, series[int(np.argmax(spans))])
+    freq_ok = extracted is None or (
+        abs(extracted - frequency_formula) <= tol.frequency_rel * abs(frequency_formula)
+    )
     passed = bool(
         all(dev[k] <= tol.deviation for k in _COMPONENTS)
         and inv_err <= tol.invariant
@@ -202,7 +196,7 @@ def run_comparison(
     periods: float = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
     tolerances: Tolerances | None = None,
-    orientation: str = "custom",
+    orientation: str | None = None,
 ) -> tuple[ComparisonReport, PolarizationHistory, PrecessionTrajectory]:
     """Full pipeline: evolve both sides on one grid and compare them.
 
@@ -243,7 +237,6 @@ def format_report(report: ComparisonReport) -> str:
         lines.append(f"  {'frequency':>20}: no oscillation")
     else:
         lines.append(f"  {'frequency (data)':>20}: {report.extracted_frequency:.12g}")
-    if report.frequency_formula is not None:
-        lines.append(f"  {'frequency (formula)':>20}: {report.frequency_formula:.12g}")
+    lines.append(f"  {'frequency (formula)':>20}: {report.frequency_formula:.12g}")
     lines.append(f"  {'verdict':>20}: {'pass' if report.passed else 'FAIL'}")
     return "\n".join(lines)

@@ -34,14 +34,7 @@ from .spinors import (
     spin_coefficients,
 )
 
-#: doublet eigenvalues closer than this are treated as degenerate
-DEGENERACY_TOL = 1e-10
-
 _PHASE_TOL = 1e-12
-
-
-class DegenerateOrientationError(ValueError):
-    """The projected spin operator has coinciding doublet eigenvalues."""
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,6 @@ def doublet_matrix(n, kin: Kinematics) -> np.ndarray:
     )
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first nonzero component is real positive."""
-    for comp in v:
-        if abs(comp) > _PHASE_TOL:
-            return v * (comp.conjugate() / abs(comp))
-    return v
-
-
 def initial_amplitudes_general(
     n, epsilon: int, kin: Kinematics
 ) -> SpinSuperposition:
@@ -135,15 +120,15 @@ def initial_amplitudes_general(
     """
     check_sign("epsilon", epsilon)
     n = check_unit(n, "n")
-    m2 = doublet_matrix(n, kin)
-    vals, vecs = np.linalg.eigh(m2)
-    if abs(vals[1] - vals[0]) < DEGENERACY_TOL:
-        raise DegenerateOrientationError(
-            f"doublet eigenvalues {vals[0]!r}, {vals[1]!r} coincide for "
-            f"axis {n.tolist()} at beta={kin.beta}, alpha={kin.alpha}"
-        )
+    # the doublet matrix is [[a, conj(b)], [b, -a]] with a^2 + |b|^2 = n.G.n, where
+    # G_kl = tr(D_k D_l)/2 over the doublet matrices D_k of Pi_k has eigenvalues 1,
+    # gamma^2, gamma^2: the eigenvalues are -lam, +lam with 1 <= lam <= gamma, never equal
+    vals, vecs = np.linalg.eigh(doublet_matrix(n, kin))
     idx = int(np.argmax(epsilon * vals))
-    v = _fix_phase(vecs[:, idx])
+    v = vecs[:, idx]
+    # a unit 2-vector has a component of modulus >= 1/sqrt(2): if v[0] fails the test, v[1] passes
+    phase = v[0] if abs(v[0]) > _PHASE_TOL else v[1]
+    v = v * (phase.conjugate() / abs(phase))
     return SpinSuperposition(
         complex(v[0]), complex(v[1]), float(vals[idx]), epsilon, n
     )

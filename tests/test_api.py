@@ -3,8 +3,8 @@
 import spinprec
 
 API = (
-    "ComparisonReport DegenerateOrientationError FieldCoupling Kinematics MatrixElements"
-    " PolarizationHistory PrecessionTrajectory PrecessionVector SRScales SpinSuperposition"
+    "ComparisonReport FieldCoupling Kinematics MatrixElements PolarizationHistory"
+    " PrecessionTrajectory PrecessionVector SRScales SpinSuperposition"
     " StrongCouplingWarning Tolerances closed_form_matrix_elements compare doublet_matrix"
     " energy_level evolve_expectations evolve_expectations_spinor extract_frequency"
     " format_report initial_amplitudes_closed initial_amplitudes_general integrate"

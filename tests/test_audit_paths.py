@@ -25,7 +25,6 @@ from hypothesis.extra import numpy as hnp
 import spinprec.bmt
 import spinprec.superposition
 from spinprec import (
-    DegenerateOrientationError,
     FieldCoupling,
     PrecessionVector,
     closed_form_matrix_elements,
@@ -116,10 +115,7 @@ def test_spinor_path_matches_per_sample_loop(
     orientation, epsilon, gamma, alpha, s, periods, spp, theta, phi
 ):
     kin = kinematics(gamma, alpha)
-    try:
-        sup = superposition(orientation, epsilon, kin, theta, phi)
-    except DegenerateOrientationError:
-        assume(False)
+    sup = superposition(orientation, epsilon, kin, theta, phi)
     assert_spinor_matches_loop(sup, kin, FieldCoupling(s, 1), period_grid(kin, periods, spp))
 
 
@@ -171,10 +167,7 @@ def reference_closed(sup, kin, t):
 )
 def test_closed_path_bit_exact(orientation, epsilon, gamma, alpha, periods, samples, theta, phi):
     kin = kinematics(gamma, alpha)
-    try:
-        sup = superposition(orientation, epsilon, kin, theta, phi)
-    except DegenerateOrientationError:
-        assume(False)
+    sup = superposition(orientation, epsilon, kin, theta, phi)
     t = np.linspace(0.0, periods * TWO_PI / precession_frequency(kin), samples)
     hist = evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), t)
     got = (hist.pi_x, hist.pi_y, hist.pi_z, hist.beta_pi, hist.invariant)
@@ -326,10 +319,7 @@ seeds = st.sampled_from(ORIENTATIONS + ("random",))
 def rotation_start(seed, kin, s0, theta, phi):
     if seed == "random":
         return s0
-    try:
-        sup = superposition(seed, 1, kin, theta, phi)
-    except DegenerateOrientationError:
-        assume(False)
+    sup = superposition(seed, 1, kin, theta, phi)
     return seed_classical(evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), [0.0]), kin)
 
 

@@ -68,6 +68,15 @@ def test_extract_frequency_shape_checks():
         extract_frequency(np.zeros(5), np.zeros(6))
 
 
+@pytest.mark.parametrize(
+    "t", [[3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 2.0], [0.0, math.nan, 2.0, 3.0]],
+    ids=["descending", "repeated", "nan"],
+)
+def test_extract_frequency_refuses_bad_grid(t):
+    with pytest.raises(ValueError):
+        extract_frequency(t, [1.0, -1.0, 1.0, -1.0])
+
+
 def reference_extract_frequency(t, series):
     """The crossing loop: one interpolated crossing per sign change, in Python."""
     t = np.asarray(t, dtype=float)
@@ -173,14 +182,16 @@ def test_compare_grid_mismatch():
     kin = make_kinematics(0.6, math.pi / 4)
     hist, traj = _pair(kin)
     shifted = PrecessionTrajectory(traj.t + 0.5, traj.s, traj.pi, traj.beta_pi)
-    with pytest.raises(ValueError):
-        compare(hist, shifted)
+    shorter = PrecessionTrajectory(traj.t[:-1], traj.s[:-1], traj.pi[:-1], traj.beta_pi[:-1])
+    for other in (shifted, shorter):
+        with pytest.raises(ValueError):
+            compare(hist, other, frequency_formula=precession_frequency(kin))
 
 
 def test_compare_deviation_is_symmetric():
     kin = make_kinematics(0.7, 1.0)
     hist, traj = _pair(kin)
-    report = compare(hist, traj)
+    report = compare(hist, traj, frequency_formula=precession_frequency(kin))
     swapped_hist = PolarizationHistory(
         t=hist.t,
         pi_x=traj.pi[:, 0],
@@ -195,7 +206,7 @@ def test_compare_deviation_is_symmetric():
         pi=np.stack([hist.pi_x, hist.pi_y, hist.pi_z], axis=1),
         beta_pi=hist.beta_pi,
     )
-    swapped = compare(swapped_hist, swapped_traj)
+    swapped = compare(swapped_hist, swapped_traj, frequency_formula=precession_frequency(kin))
     assert swapped.max_abs_deviation == report.max_abs_deviation
 
 
@@ -242,6 +253,14 @@ def test_run_comparison_flagship():
     rel = abs(report.extracted_frequency - report.frequency_formula)
     assert rel < 1e-6 * report.frequency_formula
     assert report.params["orientation"] == "y"
+
+
+def test_run_comparison_default_orientation_is_none():
+    kin = make_kinematics(0.6, math.pi / 4)
+    sup = initial_amplitudes_closed("y", 1, kin)
+    report, _, _ = run_comparison(sup, kin, COUP, periods=2.0, samples_per_period=64)
+    assert report.params["orientation"] is None
+    assert report.to_dict()["params"]["orientation"] is None
 
 
 def test_run_comparison_stationary():

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinprec import (
-    DegenerateOrientationError,
     FieldCoupling,
     doublet_matrix,
     evolve_expectations,
@@ -18,7 +17,6 @@ from spinprec import (
     precession_frequency,
     spin_axis,
 )
-import spinprec.superposition as superposition
 
 betas = st.floats(min_value=0.0, max_value=0.99)
 alphas = st.floats(min_value=0.0, max_value=math.pi)
@@ -138,13 +136,34 @@ def test_general_rejects_bad_input():
         initial_amplitudes_general(np.array([0.0, 1.0, 0.0]), 3, kin)
 
 
-def test_degenerate_doublet_guard(monkeypatch):
-    kin = make_kinematics(0.5, 0.5)
-    monkeypatch.setattr(
-        superposition, "doublet_matrix", lambda n, k: np.zeros((2, 2), dtype=complex)
-    )
-    with pytest.raises(DegenerateOrientationError):
-        superposition.initial_amplitudes_general(np.array([0.0, 1.0, 0.0]), 1, kin)
+SIGNED_AXES = tuple(sign * e for e in np.eye(3) for sign in (1.0, -1.0))
+#: a drawn unit axis, a signed coordinate axis, or "momentum" for motion_axis(kin)
+doublet_axes = st.one_of(
+    st.builds(spin_axis, alphas, st.floats(min_value=0.0, max_value=2 * math.pi)),
+    st.sampled_from(SIGNED_AXES + ("momentum",)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    beta=st.floats(min_value=0.0, max_value=1.0 - 1e-14),
+    alpha=alphas,
+    epsilon=signs,
+    axis=doublet_axes,
+)
+@example(beta=0.0, alpha=0.0, epsilon=1, axis=spin_axis(0.3, 1.0))
+@example(beta=1.0 - 1e-14, alpha=math.pi / 2, epsilon=-1, axis=SIGNED_AXES[2])
+@example(beta=1.0 - 1e-14, alpha=math.pi, epsilon=1, axis="momentum")
+def test_doublet_eigenvalues_lie_in_one_to_gamma(beta, alpha, epsilon, axis):
+    # every unit axis splits the doublet into -lam and +lam with 1 <= lam <= gamma,
+    # so initial_amplitudes_general never meets a degenerate pair
+    kin = make_kinematics(beta, alpha)
+    n = motion_axis(kin) if isinstance(axis, str) else axis
+    lo, hi = np.linalg.eigvalsh(doublet_matrix(n, kin))
+    assert abs(lo + hi) <= 1e-12 * kin.gamma
+    assert 1.0 - 1e-12 <= hi <= kin.gamma * (1.0 + 1e-12)
+    lam = epsilon * initial_amplitudes_general(n, epsilon, kin).eigenvalue
+    assert 1.0 - 1e-12 <= lam <= kin.gamma * (1.0 + 1e-12)
 
 
 def test_grid_validation():
