@@ -6,9 +6,9 @@ compare (quantum vs classical report), sweep (compare over a parameter
 grid), scales (relativistic timescale estimates).
 
 Exit codes: 0 pass, 1 physics-check failure, 2 configuration error,
-3 I/O error.  Time columns are in units of hbar/(2|mu|H) unless
---physical converts them to seconds at the output boundary.  CSV floats
-carry 17 significant digits so parsing them back is lossless.
+3 I/O error.  Time columns are in units of hbar/(2|mu|H), or in seconds
+when --mu and --field are both given.  CSV floats carry 17 significant
+digits so parsing them back is lossless.
 """
 
 from __future__ import annotations
@@ -73,19 +73,9 @@ MAX_SWEEP_POINTS = 10**6
 #: CSV rows formatted per % call
 _CSV_BLOCK_ROWS = 1024
 
-_BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-def _cast_bool(text: str) -> bool:
-    try:
-        return _BOOL_STRINGS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {text!r}") from None
-
-
 @dataclass(frozen=True)
 class Param:
-    """Flag ``--name-with-hyphens`` (bare when boolean) and config key ``name``.
+    """Flag ``--name-with-hyphens VALUE`` and config key ``name``.
 
     ``commands`` offer the flag, and only their config files may set the key.
     """
@@ -133,9 +123,8 @@ PARAMS = (
     Param("tol_invariant", float, Tolerances.invariant, "max |I - 1|", ("precess", *_CHECKED)),
     Param("tol_frequency", float, Tolerances.frequency_rel,
           "max relative frequency error", _CHECKED),
-    Param("physical", _cast_bool, False, "emit the time column in seconds", _TIMED),
-    Param("mu", float, None, "|mu| in J/T (with --physical)", _TIMED),
-    Param("field", float, None, "H in T (with --physical)", _TIMED),
+    Param("mu", float, None, "|mu| in J/T; with --field, time in seconds", _TIMED),
+    Param("field", float, None, "H in T; with --mu, time in seconds", _TIMED),
     Param("output", str, None, "write to this file instead of stdout", ("eigenstate", *_SERIES, "scales")),
     Param("sweep", str, None, "grid spec, e.g. beta=0:0.95:20,alpha=0:90:10", ("sweep",)),
     Param("gamma", float, None, "Lorentz factor, >= 1", ("scales",)),
@@ -206,16 +195,16 @@ def _point(cfg: dict):
 
 
 def _time_scale(cfg: dict) -> float:
-    """Seconds per dimensionless time unit, or 1 when staying dimensionless."""
+    """Seconds per dimensionless time unit given --mu and --field, else 1."""
     mu, field = cfg["mu"], cfg["field"]
-    # checked even without --physical: a value given and never read is still bad input
     for name, value in (("mu", mu), ("field", field)):
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"--{name} must be finite and > 0, got {value:g}")
-    if not cfg["physical"]:
+    if mu is None and field is None:
         return 1.0
     if mu is None or field is None:
-        raise ValueError("--physical requires both --mu and --field")
+        missing = "mu" if mu is None else "field"
+        raise ValueError(f"time in seconds needs --mu and --field; --{missing} is missing")
     energy = 2.0 * mu * field
     scale = HBAR / energy if energy > 0.0 else 0.0
     # 2 mu H or the quotient can leave the float range and zero every time
@@ -518,11 +507,8 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
                 continue
             flag = "--" + param.name.replace("_", "-")
             text = param.help if param.default is None else f"{param.help} (default {param.default})"
-            if param.cast is _cast_bool:
-                p.add_argument(flag, dest=param.name, action="store_const", const=True, help=text)
-            else:
-                choices = _choices(param, name)
-                p.add_argument(flag, dest=param.name, type=param.cast, choices=choices, help=text)
+            choices = _choices(param, name)
+            p.add_argument(flag, dest=param.name, type=param.cast, choices=choices, help=text)
     return parser
 
 

@@ -80,14 +80,16 @@ def extract_frequency(t, series) -> float | None:
 
     The series is mean-subtracted first; the period is twice the mean gap
     between successive crossings.  Returns None when the series has no
-    oscillation to measure.  Raises ValueError when it oscillates but the
-    span covers fewer than two crossings.
+    oscillation to measure.  Raises ValueError when a sample is not finite,
+    or when the series oscillates but covers fewer than two crossings.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("t and series must be 1-d arrays of equal length")
     check_time_grid(t)
+    if not np.isfinite(y).all():
+        raise ValueError("series must be finite")
     y = y - y.mean()
     scale = max(1.0, float(np.abs(series).max()))
     if float(np.abs(y).max()) < OSCILLATION_FLOOR * scale:
@@ -104,9 +106,7 @@ def extract_frequency(t, series) -> float | None:
     if len(crossings) >= 3:
         # a leftover baseline offset shifts alternate crossings in opposite
         # directions; spanning an even number of half-periods cancels it
-        last = len(crossings) - 1
-        if last % 2 == 1:
-            last -= 1
+        last = (len(crossings) - 1) // 2 * 2
         period = (crossings[last] - crossings[0]) / (last // 2)
     else:
         period = 2.0 * (crossings[1] - crossings[0])

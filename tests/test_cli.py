@@ -117,8 +117,7 @@ def test_precess_physical_time(capsys):
     mu, field = 9.284e-24, 1.5
     code, out, _ = run(
         capsys, "precess", "--beta", "0", "--alpha-deg", "0", "--orientation", "y",
-        "--periods", "1", "--samples-per-period", "16",
-        "--physical", "--mu", str(mu), "--field", str(field),
+        "--periods", "1", "--samples-per-period", "16", "--mu", str(mu), "--field", str(field),
     )
     assert code == 0
     _, data = parse_csv(out)
@@ -127,11 +126,18 @@ def test_precess_physical_time(capsys):
 
 
 def test_physical_requires_mu_and_field(capsys):
-    code, _, err = run(
-        capsys, "precess", "--beta", "0", "--physical", "--field", "1",
-    )
-    assert code == 2
-    assert "--mu" in err
+    # each alone exits 2 with one line that names the other
+    for command, given, missing in [("precess", "--field", "mu"), ("bmt", "--mu", "field")]:
+        code, out, err = run(capsys, command, "--beta", "0", given, "1e-23")
+        assert (code, out) == (2, "")
+        assert err == f"config error: time in seconds needs --mu and --field; --{missing} is missing\n"
+
+
+def test_precess_default_grid(capsys):
+    code, out, _ = run(capsys, "precess")
+    assert code == 0
+    # a header, then 10 periods of 1024 samples and the closing t of the last period
+    assert len(out.splitlines()) == 1 + 10 * 1024 + 1
 
 
 def test_invalid_samples(capsys):

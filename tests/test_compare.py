@@ -66,6 +66,12 @@ def test_extract_frequency_too_short():
 def test_extract_frequency_shape_checks():
     with pytest.raises(ValueError):
         extract_frequency(np.zeros(5), np.zeros(6))
+    t = np.linspace(0.0, 100.0, 4000)
+    y = np.sin(t)
+    y[2000] = math.nan
+    # refused as such, not as the too-few crossings the mean subtraction would leave
+    with pytest.raises(ValueError, match="series must be finite"):
+        extract_frequency(t, y)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +283,11 @@ def test_period_grid_validation():
         period_grid(kin, 0.0, 64)
     with pytest.raises(ValueError):
         period_grid(kin, 1.0, 8)
+    # each factor is within MAX_SAMPLES, their product of 1.6e7 is not
+    with pytest.raises(ValueError, match="grid limit"):
+        period_grid(kin, 1e6, 16)
+    # one interval is the smallest grid that holds more than t = 0
+    assert period_grid(kin, 1 / 16, 16).shape == (2,)
 
 
 def test_format_report_mentions_verdict():

@@ -27,7 +27,7 @@ MANIFEST = GOLDEN / "manifest.json"
 
 SMALL = ["--periods", "2", "--samples-per-period", "64"]
 TINY = ["--periods", "1", "--samples-per-period", "16"]
-PHYSICAL = ["--physical", "--mu", "9.284e-24", "--field", "1.5"]
+PHYSICAL = ["--mu", "9.284e-24", "--field", "1.5"]
 ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
 CUSTOM_AXIS = ["--theta-n-deg", "40", "--phi-n-deg", "110"]
 
@@ -74,7 +74,7 @@ CASES = {
     ],
     "precess_strict_invariant": ["precess", *TINY, "--tol-invariant", "1e-30"],
     "precess_coarse_grid": ["precess", "--samples-per-period", "4"],
-    "precess_physical_no_mu": ["precess", "--physical", "--field", "1"],
+    "precess_physical_no_mu": ["precess", "--field", "1"],
     # bmt: every orientation, both formats, both methods, physical time
     **{
         f"bmt_{o}_csv": ["bmt", "--beta", "0.75", "--alpha-deg", "50", *_orient(o), *SMALL]
@@ -184,6 +184,13 @@ def test_golden(name, tmp_path):
 
 def test_manifest_matches_cases():
     assert sorted(json.loads(MANIFEST.read_text())) == sorted(CASES)
+
+
+def test_golden_directory_holds_only_case_files():
+    expected = {f"{name}.out" for name in CASES}
+    expected |= {f"{name}.file" for name, argv in CASES.items() if _output_path(argv, GOLDEN)}
+    expected |= {f"{name}.conf" for name in ("precess", "bmt", "compare", "scales")}
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected | {"manifest.json"})
 
 
 def write_goldens(tmp):

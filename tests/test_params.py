@@ -22,14 +22,12 @@ def _values(param, command):
     return {
         float: ("0.25", "0.5"),
         int: ("32", "64"),
-        cli._cast_bool: ("yes", "no"),
         str: ("beta=0:0.5:2", "alpha=0:90:2"),
     }[param.cast]
 
 
 def _flag(param, value):
-    flag = "--" + param.name.replace("_", "-")
-    return [flag] if param.cast is cli._cast_bool else [flag, value]
+    return ["--" + param.name.replace("_", "-"), value]
 
 
 def _resolve(argv):
@@ -116,6 +114,8 @@ def test_config_file_format_checked_per_command(tmp_path, capsys):
         ["sweep", "--sweep", "beta=0:0.5:2", "--coupling-s", "0.002"],
         ["sweep", "--sweep", "beta=0:0.5:2", "--beta", "0.9"],
         ["sweep", "--sweep", "beta=0:0.5:2", "--alpha-deg", "30"],
+        ["precess", "--physical"],
+        ["bmt", "--physical"],
     ],
 )
 def test_removed_flags_exit_2(argv, capsys):
@@ -123,14 +123,22 @@ def test_removed_flags_exit_2(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["precess", "bmt"])
+def test_removed_physical_key_exits_2(command, tmp_path, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("physical = yes\nmu = 9.284e-24\nfield = 1.5\n")
+    assert main([command, "--config", str(conf)]) == 2
+    assert capsys.readouterr().err == f"config error: {conf}:1: unknown key 'physical'\n"
+
+
 #: every flag each subcommand offers; a flag added or removed shows up here
 INVENTORY = {
     "eigenstate": "--alpha-deg --beta --config --format --help --output --zeta",
     "precess": "--alpha-deg --beta --config --epsilon --field --format --help --mu"
-    " --orientation --output --periods --phi-n-deg --physical --samples-per-period"
+    " --orientation --output --periods --phi-n-deg --samples-per-period"
     " --theta-n-deg --tol-invariant",
     "bmt": "--alpha-deg --beta --config --epsilon --field --format --help --method --mu"
-    " --orientation --output --periods --phi-n-deg --physical --samples-per-period"
+    " --orientation --output --periods --phi-n-deg --samples-per-period"
     " --steps-per-period --theta-n-deg",
     "compare": "--alpha-deg --beta --config --coupling-s --epsilon --format --help"
     " --orientation --output --periods --phi-n-deg --samples-per-period --theta-n-deg"
