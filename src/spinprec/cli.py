@@ -1,9 +1,7 @@
 """Command-line surface for the spin precession engine.
 
-Subcommands: eigenstate (spinor and matrix-element audit), precess
-(quantum polarization series), bmt (classical comparator series),
-compare (quantum vs classical report), sweep (compare over a parameter
-grid), scales (relativistic timescale estimates).
+Run as ``spinprec <command> [flags]``; ``spinprec -h`` lists the six
+commands of ``_COMMANDS`` and ``spinprec <command> -h`` the flags of one.
 
 Exit codes: 0 pass, 1 physics-check failure, 2 configuration error,
 3 I/O error.  Time columns are in units of hbar/(2|mu|H), or in seconds
@@ -479,10 +477,10 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, exit code 2."""
+    """Reports a usage error as one stderr line, exit code 2; takes no prefix of a flag."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # -1e1 and -.5 are values too, not only the -1 and -1.5 argparse knows
         self._negative_number_matcher = re.compile(r"-\.?\d")
 
@@ -491,33 +489,35 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Parser listing every subcommand, with the flags of ``command`` alone."""
-    parser = _Parser(
-        prog="spinprec",
-        description="Spin precession of a neutral Dirac particle in a uniform field",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, summary) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        if name != command:
-            continue
-        p.add_argument("--config", help="key=value config file; flags win over it")
-        for param in PARAMS:
-            if name not in param.commands:
-                continue
+    """Parser of the flags of ``command``, else of the top level, which runs no command."""
+    if command not in _COMMANDS:
+        parser = _Parser(
+            prog="spinprec",
+            description="Spin precession of a neutral Dirac particle in a uniform field",
+            epilog="commands:" + "".join(f"\n  {n:<11}{s}" for n, (_, s) in _COMMANDS.items()),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        parser.add_argument("command", choices=_COMMANDS, metavar="command", help="followed by its flags")
+        return parser
+    parser = _Parser(prog=f"spinprec {command}", description=_COMMANDS[command][1])
+    parser.set_defaults(command=command)
+    parser.add_argument("--config", help="key=value config file; flags win over it")
+    for param in PARAMS:
+        if command in param.commands:
             flag = "--" + param.name.replace("_", "-")
             text = param.help if param.default is None else f"{param.help} (default {param.default})"
-            choices = _choices(param, name)
-            p.add_argument(flag, dest=param.name, type=param.cast, choices=choices, help=text)
+            parser.add_argument(flag, type=param.cast, choices=_choices(param, command), help=text)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # adding the flags of subcommands that will not run would be most of a short call
-    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if command else argv)
+        if command is None:
+            parser.error("the command must be the first argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     # one stderr line per warning, without the source line that issued it

@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from spinprec import cli
 from spinprec.cli import HBAR, main
+
+TESTS = Path(__file__).resolve().parent
 
 
 def run(capsys, *argv):
@@ -341,8 +349,58 @@ def test_output_unwritable(capsys):
     assert "i/o error" in err
 
 
-def test_unknown_subcommand(capsys):
-    assert main(["frobnicate"]) == 2
+#: the command word missing, unknown, or not the first argument
+TOP_LEVEL_ERRORS = {
+    "none": [],
+    "unknown": ["frobnicate"],
+    "flag-first": ["--beta", "1", "precess"],
+    "after-dashes": ["--", "scales"],
+}
+
+
+@pytest.mark.parametrize("argv", TOP_LEVEL_ERRORS.values(), ids=TOP_LEVEL_ERRORS)
+def test_top_level_usage_error(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("spinprec: error: ") and len(err.splitlines()) == 1, err
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    for name, (_, summary) in cli._COMMANDS.items():
+        assert re.search(rf"^  {name} +{re.escape(summary)}$", out, re.M), name
+
+
+def test_one_parser_per_call(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["scales", "--gamma", "2"]) == 0
+    assert built == ["spinprec scales"]
+
+
+def test_module_entry_point():
+    """``python -m spinprec.cli`` runs main and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=str(TESTS.parent / "src"))
+
+    def spinprec(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "spinprec.cli", *argv], capture_output=True, env=env, timeout=120
+        )
+
+    ok = spinprec("scales", "--gamma", "10")
+    assert (ok.returncode, ok.stderr) == (0, b"")
+    assert ok.stdout == (TESTS / "golden" / "scales.out").read_bytes()
+    bad = spinprec("--", "scales")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr == b"spinprec: error: the command must be the first argument\n"
 
 
 def test_bad_flag_value(capsys):

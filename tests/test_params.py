@@ -5,8 +5,6 @@ offers it: a flag and the same value in a ``--config`` file give the same
 resolved configuration, and the flag wins when both are given.
 """
 
-import argparse
-
 import pytest
 
 from spinprec import cli
@@ -31,7 +29,7 @@ def _flag(param, value):
 
 
 def _resolve(argv):
-    return cli._merge_config(cli.build_parser(argv[0]).parse_args(argv))
+    return cli._merge_config(cli.build_parser(argv[0]).parse_args(argv[1:]))
 
 
 ROWS = [(param, command) for param in PARAMS for command in param.commands]
@@ -151,11 +149,25 @@ INVENTORY = {
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_flag_inventory(command):
-    parser = cli.build_parser(command)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {opt for a in sub.choices[command]._actions for opt in a.option_strings}
+def test_flag_inventory(command, capsys):
+    flags = {opt for a in cli.build_parser(command)._actions for opt in a.option_strings}
     assert " ".join(sorted(flags - {"-h"})) == INVENTORY[command]
+    assert main([command, "-h"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: spinprec {command} [-h]")
+    assert all(flag in out for flag in INVENTORY[command].split())
+
+
+#: a flag is spelled in full, as a config key is; a prefix names no flag
+@pytest.mark.parametrize(
+    "argv",
+    [["precess", "--alph", "30"], ["scales", "--gam", "2"], ["compare", "--tol-dev", "1e-9"]],
+    ids=lambda argv: argv[1],
+)
+def test_abbreviated_flag_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"spinprec {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}\n"
 
 
 @pytest.mark.parametrize("spelling", [["--theta-n-deg", "-1e1"], ["--theta-n-deg=-1e1"]])
