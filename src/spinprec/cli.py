@@ -491,14 +491,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """Parser of the flags of ``command``, else of the top level, which runs no command."""
     if command not in _COMMANDS:
-        parser = _Parser(
+        return _Parser(
             prog="spinprec",
+            usage="%(prog)s command [flags]",
             description="Spin precession of a neutral Dirac particle in a uniform field",
             epilog="commands:" + "".join(f"\n  {n:<11}{s}" for n, (_, s) in _COMMANDS.items()),
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
-        parser.add_argument("command", choices=_COMMANDS, metavar="command", help="followed by its flags")
-        return parser
     parser = _Parser(prog=f"spinprec {command}", description=_COMMANDS[command][1])
     parser.set_defaults(command=command)
     parser.add_argument("--config", help="key=value config file; flags win over it")
@@ -515,9 +514,10 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = build_parser(command)
     try:
-        args = parser.parse_args(argv[1:] if command else argv)
         if command is None:
-            parser.error("the command must be the first argument")
+            parser.parse_known_args(argv)  # returns unless -h, which prints the help
+            parser.error(f"the first argument must be a command, not {argv[0]!r}" if argv else "no command")
+        args = parser.parse_args(argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
     # one stderr line per warning, without the source line that issued it

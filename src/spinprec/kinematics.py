@@ -169,6 +169,8 @@ def check_unit(v, name: str) -> np.ndarray:
 def check_time_grid(t_grid) -> np.ndarray:
     """A nonempty, finite, strictly ascending time grid as a 1-d float array."""
     t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t.ndim != 1:
+        raise ValueError(f"time grid must be 1-d, got shape {t.shape}")
     if t.size == 0:
         raise ValueError("time grid must be nonempty")
     # ascending order bounds the interior by the ends

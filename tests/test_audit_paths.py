@@ -3,9 +3,11 @@
 ``evolve_expectations_spinor`` builds every 4-spinor of the grid at once
 and takes the three sandwiches in one ``einsum``; it must agree with the
 per-sample ``cmath`` loop, kept here, to roundoff scaled by gamma (the
-components of Pi grow like gamma).  ``integrate`` collects its RK4 rows in
-a list; its output must equal the old driver loop, kept here, bit for
-bit.  Both paths must also stay independent of the closed path they audit.
+components of Pi grow like gamma).  ``integrate`` applies RK4's one-substep
+3x3 map, raised to each interval's substep count and chained by a doubling
+scan; it must agree with the per-substep loop, kept here, to roundoff that
+grows with the number of substeps, and equal it bit for bit without
+precession.  Both paths must also stay independent of the closed path they audit.
 The closed path ``evolve_expectations`` computes its three components in
 one broadcast; it must equal the one-expression-per-component formula,
 kept here, bit for bit.  The exact rotation ``trajectory_exact`` and the
@@ -51,6 +53,11 @@ from spinprec.kinematics import TWO_PI
 ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
 #: set from float64 roundoff before the vectorized path was written
 SPINOR_TOL = 1e-14
+#: c in |integrate - loop| <= c K eps after K substeps.  Each path rounds a substep's
+#: result to about eps/2 per component, the loop in its last add and the map in its
+#: entries near 1, which squaring carries k-fold; neither path amplifies an error.
+#: So they part by about K eps at worst; 3000 random grids gave at most 0.5 K eps.
+RK4_ROUNDOFF = 2.0
 
 gammas = st.floats(min_value=1.0001, max_value=1e4)
 alphas = st.floats(min_value=0.0, max_value=math.pi)
@@ -236,6 +243,17 @@ def assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period):
     assert_same_bits((traj.s, traj.pi, traj.beta_pi), ref)
 
 
+def assert_integrate_matches_loop(s0, omega, t, kin, steps_per_period):
+    """Within RK4_ROUNDOFF K eps of the loop, K counting the substeps up to each sample."""
+    traj = integrate(s0, omega, t, kin, steps_per_period)
+    s, _, _ = reference_integrate(s0, omega, t, kin, steps_per_period)
+    substeps = np.maximum(1.0, np.ceil(np.diff(t) / (TWO_PI / omega.magnitude / steps_per_period)))
+    bound = RK4_ROUNDOFF * np.finfo(float).eps * np.concatenate([[0.0], np.cumsum(substeps)])
+    assert traj.s.shape == s.shape
+    assert np.all(np.abs(traj.s - s).max(axis=1) <= bound)
+    assert_same_bits((traj.pi, traj.beta_pi), map_rest_to_pi(traj.s, kin), ("pi", "beta_pi"))
+
+
 unit_vectors = st.tuples(alphas, st.floats(min_value=0.0, max_value=2.0 * math.pi)).map(
     lambda angles: spin_axis(*angles)
 )
@@ -250,10 +268,10 @@ unit_vectors = st.tuples(alphas, st.floats(min_value=0.0, max_value=2.0 * math.p
     spp=st.integers(16, 64),
     steps_per_period=st.integers(200, 600),
 )
-def test_integrate_bit_exact_on_uniform_grids(gamma, alpha, s0, periods, spp, steps_per_period):
+def test_integrate_matches_loop_on_uniform_grids(gamma, alpha, s0, periods, spp, steps_per_period):
     kin = kinematics(gamma, alpha)
     t = period_grid(kin, periods, spp)
-    assert_integrate_bit_exact(s0, omega_vector(kin), t, kin, steps_per_period)
+    assert_integrate_matches_loop(s0, omega_vector(kin), t, kin, steps_per_period)
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,7 +283,7 @@ def test_integrate_bit_exact_on_uniform_grids(gamma, alpha, s0, periods, spp, st
     gaps=st.lists(st.floats(min_value=1e-4, max_value=3.0), min_size=1, max_size=12),
     steps_per_period=st.integers(200, 600),
 )
-def test_integrate_bit_exact_on_nonuniform_grids(gamma, alpha, s0, t0, gaps, steps_per_period):
+def test_integrate_matches_loop_on_nonuniform_grids(gamma, alpha, s0, t0, gaps, steps_per_period):
     kin = kinematics(gamma, alpha)
     t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
     assume(np.all(np.diff(t) > 0))
@@ -273,7 +291,15 @@ def test_integrate_bit_exact_on_nonuniform_grids(gamma, alpha, s0, t0, gaps, ste
     substeps = np.ceil(np.diff(t) / (TWO_PI / omega.magnitude / steps_per_period))
     # the gaps span 1e-4 to 3, so most grids mix one-substep and many-substep intervals
     assume(len(gaps) == 1 or substeps.min() != substeps.max())
-    assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period)
+    assert_integrate_matches_loop(s0, omega, t, kin, steps_per_period)
+
+
+@pytest.mark.parametrize("intervals", [0, 1, 2 * spinprec.bmt._BLOCK + 5])
+def test_integrate_matches_loop_across_blocks(intervals):
+    # the state at the end of each block of intervals starts the next, the last one ragged
+    kin = kinematics(3.0, 0.7)
+    t = np.concatenate([[0.0], np.cumsum(np.random.default_rng(0).uniform(1e-3, 0.1, intervals))])
+    assert_integrate_matches_loop(spin_axis(0.4, 2.2), omega_vector(kin), t, kin, 400)
 
 
 @pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [0.0, 0.5, 3.0, 3.1]], ids=str)

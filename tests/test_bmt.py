@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_integrate_guards():
         integrate(s0, om, [0.0, 2e6 * period(kin)], kin)
     with pytest.raises(ValueError, match="substep guard"):
         integrate(s0, om, [0.0, period(kin)], kin, steps_per_period=MAX_RK4_SUBSTEPS + 1)
+
+
+def test_integrate_just_under_the_substep_guard():
+    # one period in about MAX_RK4_SUBSTEPS substeps: RK4's own error is some 1e-28 here,
+    # so what parts it from the exact rotation is roundoff, growing like K eps
+    kin = make_kinematics(0.6, math.pi / 4)
+    om = omega_vector(kin)
+    s0 = spin_axis(0.9, 0.3)
+    t = [0.0, period(kin)]
+    start = time.perf_counter()
+    traj = integrate(s0, om, t, kin, steps_per_period=MAX_RK4_SUBSTEPS - 1)
+    assert time.perf_counter() - start < 1.0
+    ref = trajectory_exact(s0, om, t, kin)
+    assert np.abs(traj.s - ref.s).max() <= MAX_RK4_SUBSTEPS * np.finfo(float).eps
 
 
 def test_map_rest_frame_is_identity():

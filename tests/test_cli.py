@@ -349,21 +349,21 @@ def test_output_unwritable(capsys):
     assert "i/o error" in err
 
 
-#: the command word missing, unknown, or not the first argument
+#: the command word missing, unknown, or not the first argument, and the error naming it
 TOP_LEVEL_ERRORS = {
-    "none": [],
-    "unknown": ["frobnicate"],
-    "flag-first": ["--beta", "1", "precess"],
-    "after-dashes": ["--", "scales"],
+    "none": ([], "no command"),
+    "unknown": (["frobnicate"], "the first argument must be a command, not 'frobnicate'"),
+    "flag-first": (["--beta", "1", "precess"], "the first argument must be a command, not '--beta'"),
+    "after-dashes": (["--", "scales"], "the first argument must be a command, not '--'"),
 }
 
 
-@pytest.mark.parametrize("argv", TOP_LEVEL_ERRORS.values(), ids=TOP_LEVEL_ERRORS)
-def test_top_level_usage_error(argv, capsys):
+@pytest.mark.parametrize(("argv", "message"), TOP_LEVEL_ERRORS.values(), ids=TOP_LEVEL_ERRORS)
+def test_top_level_usage_error(argv, message, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("spinprec: error: ") and len(err.splitlines()) == 1, err
+    assert err == f"spinprec: error: {message}\n"
 
 
 def test_top_level_help_lists_every_command(capsys):
@@ -400,7 +400,7 @@ def test_module_entry_point():
     assert ok.stdout == (TESTS / "golden" / "scales.out").read_bytes()
     bad = spinprec("--", "scales")
     assert (bad.returncode, bad.stdout) == (2, b"")
-    assert bad.stderr == b"spinprec: error: the command must be the first argument\n"
+    assert bad.stderr == b"spinprec: error: the first argument must be a command, not '--'\n"
 
 
 def test_bad_flag_value(capsys):

@@ -1,13 +1,14 @@
 """Each input rule is refused alike by every entry that applies it.
 
 The rules live in ``spinprec.kinematics``: a branch sign is +1 or -1, an
-axis or start spin is a unit 3-vector, and a time grid is nonempty,
+axis or start spin is a unit 3-vector, and a time grid is 1-d, nonempty,
 finite and strictly ascending.
 """
 
 import contextlib
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -88,6 +89,14 @@ def test_every_grid_entry_refuses_a_non_finite_grid(entry, grid):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^time grid must be finite$"):
             GRID_ENTRIES[entry](grid)
+
+
+@pytest.mark.parametrize("entry", list(GRID_ENTRIES))
+@pytest.mark.parametrize("grid", [[[0.0, 1.0]], [[0.0], [1.0]]], ids=["row", "column"])
+def test_every_grid_entry_refuses_a_grid_that_is_not_1d(entry, grid):
+    shape = re.escape(str(np.shape(grid)))
+    with pytest.raises(ValueError, match=rf"^time grid must be 1-d, got shape {shape}$"):
+        GRID_ENTRIES[entry](grid)
 
 
 def test_cli_prints_a_warning_as_one_line(capsys):
