@@ -131,8 +131,8 @@ def trajectory_exact(
     return PrecessionTrajectory(t, s, pi, beta_pi)
 
 
-def _block_maps(cross, dts, steps):
-    """Maps from a block's first sample to each later one, for ds/dt = cross @ s."""
+def _interval_maps(cross, dts, steps):
+    """Each interval's RK4 map, its one-substep map raised to the interval's substep count."""
     eye = np.eye(3)
     # each interval's one-substep map: the four RK4 stages, acting on the identity
     k1 = (dts / steps)[:, None, None] * cross
@@ -144,7 +144,12 @@ def _block_maps(cross, dts, steps):
     for bit in range(int(steps.max()).bit_length()):  # to the power steps, by repeated squaring
         maps = np.where((steps // 2**bit % 2 == 1)[:, None, None], power @ maps, maps)
         power = power @ power
-    for j in range((len(maps) - 1).bit_length()):  # a doubling scan: maps[i] @ ... @ maps[0]
+    return maps
+
+
+def _scan(maps):
+    """Chain a block's interval maps in place: maps[i] becomes maps[i] @ ... @ maps[0]."""
+    for j in range((len(maps) - 1).bit_length()):  # a doubling scan
         maps[2**j :] = maps[2**j :] @ maps[: -(2**j)]
     return maps
 
@@ -174,7 +179,7 @@ def integrate(
     check_steps_per_period(steps_per_period)
     w = omega.magnitude
     s = np.tile(s0, (t.size, 1))
-    if w > 0.0:
+    if w > 0.0 and t.size > 1:
         dts = np.diff(t)
         substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
         total = float(substeps.sum())
@@ -183,8 +188,11 @@ def integrate(
                 f"{total:.3g} rk4 substeps exceed the {MAX_RK4_SUBSTEPS:.0e}-substep guard"
             )
         cross = np.cross(np.eye(3), omega.omega_vec)  # row j is e_j x Omega: cross @ s = Omega x s
-        for lo in range(0, dts.size, _BLOCK):
+        # substeps is a function of dt alone, so intervals of equal dt share one map
+        dts, first, which = np.unique(dts, return_index=True, return_inverse=True)
+        maps = _interval_maps(cross, dts, substeps[first])
+        for lo in range(0, which.size, _BLOCK):
             hi = lo + _BLOCK  # s[lo], the last state of the block before, carries over
-            s[lo + 1 : hi + 1] = _block_maps(cross, dts[lo:hi], substeps[lo:hi]) @ s[lo]
+            s[lo + 1 : hi + 1] = _scan(maps[which[lo:hi]]) @ s[lo]
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)

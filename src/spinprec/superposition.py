@@ -179,10 +179,10 @@ def evolve_expectations_spinor(
     t/(2s)} |->, built for every grid time at once.  The branch phase is
     evaluated as the product e^{-i (gamma/(2s)) t} * e^{-/+ i (q/(2 gamma)) t}
     so the large common phase never enters a floating-point difference.
-    Requires s > 0.
+    Requires 0 < s < inf.
     """
-    if coupling.s <= 0.0:
-        raise ValueError("spinor evolution needs a positive coupling strength")
+    if not 0.0 < coupling.s < math.inf:
+        raise ValueError(f"spinor evolution needs a finite coupling strength > 0, got {coupling.s}")
     t = check_time_grid(t_grid)
     ket_p = spin_coefficients(+1, kin)
     ket_m = spin_coefficients(-1, kin)

@@ -7,7 +7,9 @@ components of Pi grow like gamma).  ``integrate`` applies RK4's one-substep
 3x3 map, raised to each interval's substep count and chained by a doubling
 scan; it must agree with the per-substep loop, kept here, to roundoff that
 grows with the number of substeps, and equal it bit for bit without
-precession.  Both paths must also stay independent of the closed path they audit.
+precession.  It builds each distinct interval length's map once; it must
+equal the build of one map per interval, kept here, bit for bit.  Both
+paths must also stay independent of the closed path they audit.
 The closed path ``evolve_expectations`` computes its three components in
 one broadcast; it must equal the one-expression-per-component formula,
 kept here, bit for bit.  The exact rotation ``trajectory_exact`` and the
@@ -134,11 +136,12 @@ def test_spinor_path_on_one_and_two_samples(orientation, t):
     assert_spinor_matches_loop(sup, kin, FieldCoupling(1e-4, 1), np.array(t))
 
 
-@pytest.mark.parametrize("s", [0.0, -1e-3])
+@pytest.mark.parametrize("s", [0.0, -1e-3, -1.0, math.nan, math.inf])
 def test_spinor_path_refuses_nonpositive_coupling(s):
+    # make_coupling's rule, 0 < s < inf; nan and inf would give an all-NaN series
     kin = kinematics(2.0, 0.5)
     sup = superposition("y", 1, kin)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite coupling strength > 0"):
         evolve_expectations_spinor(sup, kin, FieldCoupling(s, 1), [0.0, 1.0])
 
 
@@ -230,6 +233,35 @@ def reference_integrate(s0, omega, t, kin, steps_per_period):
     return s, pi, beta_pi
 
 
+def reference_interval_maps(cross, dts, steps):
+    """One block's maps from its first sample to each later one, built per interval."""
+    eye = np.eye(3)
+    k1 = (dts / steps)[:, None, None] * cross
+    k2 = k1 @ (eye + 0.5 * k1)
+    k3 = k1 @ (eye + 0.5 * k2)
+    k4 = k1 @ (eye + k3)
+    power = eye + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    maps = eye
+    for bit in range(int(steps.max()).bit_length()):
+        maps = np.where((steps // 2**bit % 2 == 1)[:, None, None], power @ maps, maps)
+        power = power @ power
+    for j in range((len(maps) - 1).bit_length()):
+        maps[2**j :] = maps[2**j :] @ maps[: -(2**j)]
+    return maps
+
+
+def reference_integrate_per_interval(s0, omega, t, kin, steps_per_period):
+    """The matrix form that built every interval's map, equal dt or not."""
+    s = np.tile(np.asarray(s0, dtype=float), (t.size, 1))
+    dts = np.diff(t)
+    substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / omega.magnitude / steps_per_period)))
+    cross = np.cross(np.eye(3), omega.omega_vec)
+    for lo in range(0, dts.size, spinprec.bmt._BLOCK):
+        hi = lo + spinprec.bmt._BLOCK
+        s[lo + 1 : hi + 1] = reference_interval_maps(cross, dts[lo:hi], substeps[lo:hi]) @ s[lo]
+    return (s, *map_rest_to_pi(s, kin))
+
+
 def assert_same_bits(got, ref, names=("s", "pi", "beta_pi")):
     for name, a, b in zip(names, got, ref, strict=True):
         a, b = np.asarray(a), np.asarray(b)
@@ -244,8 +276,11 @@ def assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period):
 
 
 def assert_integrate_matches_loop(s0, omega, t, kin, steps_per_period):
-    """Within RK4_ROUNDOFF K eps of the loop, K counting the substeps up to each sample."""
+    """Within RK4_ROUNDOFF K eps of the loop, K counting the substeps up to each sample,
+    and bit for bit the build of one map per interval."""
     traj = integrate(s0, omega, t, kin, steps_per_period)
+    ref = reference_integrate_per_interval(s0, omega, t, kin, steps_per_period)
+    assert_same_bits((traj.s, traj.pi, traj.beta_pi), ref)
     s, _, _ = reference_integrate(s0, omega, t, kin, steps_per_period)
     substeps = np.maximum(1.0, np.ceil(np.diff(t) / (TWO_PI / omega.magnitude / steps_per_period)))
     bound = RK4_ROUNDOFF * np.finfo(float).eps * np.concatenate([[0.0], np.cumsum(substeps)])
@@ -300,6 +335,36 @@ def test_integrate_matches_loop_across_blocks(intervals):
     kin = kinematics(3.0, 0.7)
     t = np.concatenate([[0.0], np.cumsum(np.random.default_rng(0).uniform(1e-3, 0.1, intervals))])
     assert_integrate_matches_loop(spin_axis(0.4, 2.2), omega_vector(kin), t, kin, 400)
+
+
+def test_integrate_matches_loop_on_one_dt_across_blocks():
+    # one dt, exact in binary, over three blocks: every interval shares one map
+    t = np.arange(2 * spinprec.bmt._BLOCK + 6) * 2.0**-6
+    assert np.unique(np.diff(t)).size == 1
+    kin = kinematics(3.0, 0.7)
+    assert_integrate_matches_loop(spin_axis(0.4, 2.2), omega_vector(kin), t, kin, 400)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(min_value=1.0001, max_value=100.0),
+    alpha=alphas,
+    s0=unit_vectors,
+    t0=st.floats(min_value=-10.0, max_value=10.0),
+    gaps=st.lists(st.floats(min_value=1e-4, max_value=3.0), min_size=1, max_size=40),
+    steps_per_period=st.integers(200, 600),
+)
+def test_integrate_bit_exact_per_interval_on_distinct_gaps(
+    gamma, alpha, s0, t0, gaps, steps_per_period
+):
+    # every interval its own map: the case the sharing of maps cannot speed up
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    dts = np.diff(t)
+    assume(np.all(dts > 0) and np.unique(dts).size == dts.size)
+    kin = kinematics(gamma, alpha)
+    traj = integrate(s0, omega_vector(kin), t, kin, steps_per_period)
+    ref = reference_integrate_per_interval(s0, omega_vector(kin), t, kin, steps_per_period)
+    assert_same_bits((traj.s, traj.pi, traj.beta_pi), ref)
 
 
 @pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [0.0, 0.5, 3.0, 3.1]], ids=str)
