@@ -179,7 +179,7 @@ def integrate(
     check_steps_per_period(steps_per_period)
     w = omega.magnitude
     s = np.tile(s0, (t.size, 1))
-    if w > 0.0 and t.size > 1:
+    if w > 0.0:
         dts = np.diff(t)
         substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
         total = float(substeps.sum())
@@ -188,11 +188,11 @@ def integrate(
                 f"{total:.3g} rk4 substeps exceed the {MAX_RK4_SUBSTEPS:.0e}-substep guard"
             )
         cross = np.cross(np.eye(3), omega.omega_vec)  # row j is e_j x Omega: cross @ s = Omega x s
-        # substeps is a function of dt alone, so intervals of equal dt share one map
-        dts, first, which = np.unique(dts, return_index=True, return_inverse=True)
-        maps = _interval_maps(cross, dts, substeps[first])
-        for lo in range(0, which.size, _BLOCK):
+        for lo in range(0, dts.size, _BLOCK):
             hi = lo + _BLOCK  # s[lo], the last state of the block before, carries over
-            s[lo + 1 : hi + 1] = _scan(maps[which[lo:hi]]) @ s[lo]
+            # substeps is a function of dt alone, so intervals of equal dt share one map
+            u, first, which = np.unique(dts[lo:hi], return_index=True, return_inverse=True)
+            maps = _interval_maps(cross, u, substeps[lo:hi][first])
+            s[lo + 1 : hi + 1] = _scan(maps[which]) @ s[lo]
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)
