@@ -48,7 +48,6 @@ from .compare import (
     Tolerances,
     compare,
     extract_frequency,
-    format_report,
     period_grid,
     run_comparison,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "evolve_expectations",
     "evolve_expectations_spinor",
     "extract_frequency",
-    "format_report",
     "initial_amplitudes_closed",
     "initial_amplitudes_general",
     "integrate",

@@ -34,8 +34,8 @@ from .compare import (
     DEFAULT_PERIODS,
     DEFAULT_SAMPLES_PER_PERIOD,
     MIN_SAMPLES_PER_PERIOD,
+    ComparisonReport,
     Tolerances,
-    format_report,
     period_grid,
     run_comparison,
     seed_classical,
@@ -219,9 +219,8 @@ def _tolerances(cfg: dict) -> Tolerances:
     )
 
 
-def _comparison(cfg: dict):
-    """:func:`run_comparison` at the point ``cfg`` describes."""
-    kin, coupling, sup = _point(cfg)
+def _comparison(cfg: dict, kin, coupling, sup):
+    """:func:`run_comparison` at the point that ``_point(cfg)`` resolved."""
     return run_comparison(
         sup,
         kin,
@@ -229,7 +228,6 @@ def _comparison(cfg: dict):
         periods=cfg["periods"],
         samples_per_period=cfg["samples_per_period"],
         tolerances=_tolerances(cfg),
-        orientation=cfg["orientation"],
     )
 
 
@@ -375,14 +373,49 @@ def cmd_bmt(cfg: dict) -> int:
     return 0 if drift <= NORM_DRIFT_TOL else 1
 
 
+def format_report(report: ComparisonReport, params: dict) -> str:
+    """Human-readable table of a comparison report and the inputs it ran on."""
+    lines = ["comparison report", "-----------------"]
+    for key, val in params.items():
+        lines.append(f"  {key:>20}: {val}")
+    for comp, dev in report.max_abs_deviation.items():
+        lines.append(f"  {'max |d ' + comp + '|':>20}: {dev:.3e}")
+    lines.append(f"  {'max |I - 1|':>20}: {report.invariant_max_error:.3e}")
+    if report.extracted_frequency is None:
+        lines.append(f"  {'frequency':>20}: no oscillation")
+    else:
+        lines.append(f"  {'frequency (data)':>20}: {report.extracted_frequency:.12g}")
+    lines.append(f"  {'frequency (formula)':>20}: {report.frequency_formula:.12g}")
+    lines.append(f"  {'verdict':>20}: {'pass' if report.passed else 'FAIL'}")
+    return "\n".join(lines)
+
+
 def cmd_compare(cfg: dict) -> int:
-    """Quantum vs classical report; JSON to the output target."""
-    report, _, _ = _comparison(cfg)
+    """Quantum vs classical report and the inputs it ran on; JSON to the output target."""
+    kin, coupling, sup = _point(cfg)
+    report, _, _ = _comparison(cfg, kin, coupling, sup)
+    params = {
+        "beta": kin.beta,
+        "alpha": kin.alpha,
+        "s": coupling.s,
+        "epsilon": sup.epsilon,
+        "orientation": cfg["orientation"],
+        "periods": cfg["periods"],
+        "samples_per_period": cfg["samples_per_period"],
+    }
     # with --output the JSON goes to the file and the table to stdout
     if cfg["output"] is not None or cfg["format"] != "table":
-        _emit(_json_text(report.to_dict()), cfg["output"])
+        payload = {
+            "max_abs_deviation": report.max_abs_deviation,
+            "extracted_frequency": report.extracted_frequency,
+            "frequency_formula": report.frequency_formula,
+            "invariant_max_error": report.invariant_max_error,
+            "pass": report.passed,
+            "params": params,
+        }
+        _emit(_json_text(payload), cfg["output"])
     if cfg["output"] is not None or cfg["format"] == "table":
-        sys.stdout.write(format_report(report) + "\n")
+        sys.stdout.write(format_report(report, params) + "\n")
     return 0 if report.passed else 1
 
 
@@ -433,7 +466,8 @@ def cmd_sweep(cfg: dict) -> int:
         for alpha_deg in alphas:
             # holding the last point's arrays in _ until this point's exist keeps
             # malloc from trimming and refaulting the heap on every point
-            report, _, _ = _comparison(dict(cfg, beta=float(beta), alpha_deg=float(alpha_deg)))
+            point = dict(cfg, beta=float(beta), alpha_deg=float(alpha_deg))
+            report, _, _ = _comparison(point, *_point(point))
             all_pass = all_pass and report.passed
             worst = max(report.max_abs_deviation.values())
             freq = (

@@ -3,7 +3,7 @@
 The quantum engine and the classical comparator produce series on a
 shared grid; this module measures their componentwise deviation, checks
 invariant conservation, extracts the oscillation frequency from the data
-by zero crossings, and bundles everything into a serializable report.
+by zero crossings, and records the results in one report.
 
 The frequency is always extracted from the classical series so that a
 fault injected into the comparator (a wrong precession vector, say)
@@ -13,7 +13,7 @@ shows up as a frequency mismatch instead of silently cancelling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,8 +51,10 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Audit record of one quantum/classical run pair.
+    """Results of one quantum/classical run pair.
 
+    ``max_abs_deviation`` maps each compared component, in the order
+    pi_x, pi_y, pi_z, beta_pi, to its largest deviation.
     ``extracted_frequency`` is None for constant series (the stationary
     orientation has no oscillation to measure).
     """
@@ -62,26 +64,16 @@ class ComparisonReport:
     frequency_formula: float
     invariant_max_error: float
     passed: bool
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_abs_deviation": dict(self.max_abs_deviation),
-            "extracted_frequency": self.extracted_frequency,
-            "frequency_formula": self.frequency_formula,
-            "invariant_max_error": self.invariant_max_error,
-            "pass": self.passed,
-            "params": dict(self.params),
-        }
 
 
 def extract_frequency(t, series) -> float | None:
     """Angular frequency from linear-interpolated zero crossings.
 
-    The series is mean-subtracted first; the period is twice the mean gap
-    between successive crossings.  Returns None when the series has no
-    oscillation to measure.  Raises ValueError when a sample is not finite,
-    or when the series oscillates but covers fewer than two crossings.
+    The series is mean-subtracted first; the period is the mean gap
+    between crossings two apart, which cross in the same direction.
+    Returns None when the series has no oscillation to measure.  Raises
+    ValueError when a sample is not finite, or when the series oscillates
+    but covers fewer than three crossings.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
@@ -101,15 +93,12 @@ def extract_frequency(t, series) -> float | None:
     y0, t0, t1, dy = y0[keep], t0[keep], t1[keep], dy[keep]
     # linear interpolation to each crossing, one array operation per step
     crossings = t0 - y0 * (t1 - t0) / dy
-    if len(crossings) < 2:
-        raise ValueError("series must span at least two zero crossings")
-    if len(crossings) >= 3:
-        # a leftover baseline offset shifts alternate crossings in opposite
-        # directions; spanning an even number of half-periods cancels it
-        last = (len(crossings) - 1) // 2 * 2
-        period = (crossings[last] - crossings[0]) / (last // 2)
-    else:
-        period = 2.0 * (crossings[1] - crossings[0])
+    if len(crossings) < 3:
+        raise ValueError("series must span at least three zero crossings, one full period")
+    # a leftover baseline offset shifts alternate crossings in opposite
+    # directions; spanning an even number of half-periods cancels it
+    last = (len(crossings) - 1) // 2 * 2
+    period = (crossings[last] - crossings[0]) / (last // 2)
     return float(TWO_PI / period)
 
 
@@ -119,7 +108,6 @@ def compare(
     tolerances: Tolerances | None = None,
     *,
     frequency_formula: float,
-    params: dict | None = None,
 ) -> ComparisonReport:
     """Componentwise deviation, invariant drift and frequency check.
 
@@ -149,7 +137,6 @@ def compare(
         frequency_formula=frequency_formula,
         invariant_max_error=inv_err,
         passed=passed,
-        params=dict(params or {}),
     )
 
 
@@ -196,7 +183,6 @@ def run_comparison(
     periods: float = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
     tolerances: Tolerances | None = None,
-    orientation: str | None = None,
 ) -> tuple[ComparisonReport, PolarizationHistory, PrecessionTrajectory]:
     """Full pipeline: evolve both sides on one grid and compare them.
 
@@ -206,37 +192,6 @@ def run_comparison(
     t = period_grid(kin, periods, samples_per_period)
     quantum = evolve_expectations(sup, kin, coupling, t)
     classical = trajectory_exact(seed_classical(quantum, kin), omega_vector(kin), t, kin)
-    params = {
-        "beta": kin.beta,
-        "alpha": kin.alpha,
-        "s": coupling.s,
-        "epsilon": sup.epsilon,
-        "orientation": orientation,
-        "periods": periods,
-        "samples_per_period": samples_per_period,
-    }
-    report = compare(
-        quantum,
-        classical,
-        tolerances,
-        frequency_formula=precession_frequency(kin),
-        params=params,
-    )
+    report = compare(quantum, classical, tolerances, frequency_formula=precession_frequency(kin))
     return report, quantum, classical
 
-
-def format_report(report: ComparisonReport) -> str:
-    """Human-readable table for terminal output."""
-    lines = ["comparison report", "-----------------"]
-    for key, val in report.params.items():
-        lines.append(f"  {key:>20}: {val}")
-    for comp in _COMPONENTS:
-        lines.append(f"  {'max |d ' + comp + '|':>20}: {report.max_abs_deviation[comp]:.3e}")
-    lines.append(f"  {'max |I - 1|':>20}: {report.invariant_max_error:.3e}")
-    if report.extracted_frequency is None:
-        lines.append(f"  {'frequency':>20}: no oscillation")
-    else:
-        lines.append(f"  {'frequency (data)':>20}: {report.extracted_frequency:.12g}")
-    lines.append(f"  {'frequency (formula)':>20}: {report.frequency_formula:.12g}")
-    lines.append(f"  {'verdict':>20}: {'pass' if report.passed else 'FAIL'}")
-    return "\n".join(lines)

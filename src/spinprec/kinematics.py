@@ -140,12 +140,16 @@ def sr_scales(gamma: float, omega0: float) -> SRScales:
         raise ValueError(f"omega0 must be finite and > 0, got {omega0}")
     try:
         omega_max = omega0 * gamma**3
-        time_ratio = TWO_PI / gamma**4
     except OverflowError:
         omega_max = math.inf
     rho = 1.0 / omega0
     if not (math.isfinite(omega_max) and math.isfinite(rho)):
         raise ValueError(f"timescales overflow at gamma={gamma:g}, omega0={omega0:g}")
+    try:
+        time_ratio = TWO_PI / gamma**4
+    except OverflowError:
+        # gamma**4 leaves the float range from gamma ~1.2e77, gamma**3 only from ~5.6e102
+        time_ratio = TWO_PI / gamma**2 / gamma**2
     return SRScales(omega0=omega0, omega_max=omega_max, rho=rho, time_ratio=time_ratio)
 
 

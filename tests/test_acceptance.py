@@ -226,19 +226,16 @@ def test_criterion_08_quantum_classical_agreement():
     for beta, alpha in KIN_POINTS:
         kin = make_kinematics(beta, alpha)
         sups = [
-            ("x", initial_amplitudes_closed("x", 1, kin)),
-            ("y", initial_amplitudes_closed("y", 1, kin)),
-            ("z", initial_amplitudes_closed("z", -1, kin)),
-            ("momentum", initial_amplitudes_general(motion_axis(kin), 1, kin)),
+            initial_amplitudes_closed("x", 1, kin),
+            initial_amplitudes_closed("y", 1, kin),
+            initial_amplitudes_closed("z", -1, kin),
+            initial_amplitudes_general(motion_axis(kin), 1, kin),
         ]
         for _ in range(3):
             n = spin_axis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
-            sups.append(("custom", initial_amplitudes_general(n, 1, kin)))
-        for orientation, sup in sups:
-            report, _, _ = run_comparison(
-                sup, kin, COUP, periods=10, samples_per_period=512,
-                orientation=orientation,
-            )
+            sups.append(initial_amplitudes_general(n, 1, kin))
+        for sup in sups:
+            report, _, _ = run_comparison(sup, kin, COUP, periods=10, samples_per_period=512)
             all_pass = all_pass and report.passed
             worst_dev = max(worst_dev, max(report.max_abs_deviation.values()))
     worst_rk = 0.0

@@ -7,7 +7,7 @@ API = (
     " PrecessionTrajectory PrecessionVector SRScales SpinSuperposition"
     " StrongCouplingWarning Tolerances closed_form_matrix_elements compare doublet_matrix"
     " energy_level evolve_expectations evolve_expectations_spinor extract_frequency"
-    " format_report initial_amplitudes_closed initial_amplitudes_general integrate"
+    " initial_amplitudes_closed initial_amplitudes_general integrate"
     " make_coupling make_kinematics map_pi_to_rest map_rest_to_pi matrix_element"
     " motion_axis omega_vector period_grid pi_component_matrix precession_frequency"
     " run_comparison spin_axis spin_coefficients sr_scales trajectory_exact"

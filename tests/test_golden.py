@@ -98,7 +98,8 @@ CASES = {
     ],
     "bmt_config": ["bmt", "--config", "{golden}/bmt.conf"],
     "bmt_rk4_coarse_steps": ["bmt", "--method", "rk4", "--steps-per-period", "50"],
-    # compare: every orientation, both formats, report file, failing tolerance
+    # compare: every orientation, both formats, report file in either format,
+    # failing tolerance, a grid too short to measure the frequency
     **{
         f"compare_{o}_json": [
             "compare", "--beta", "0.6", "--alpha-deg", "45", *_orient(o), *SMALL,
@@ -115,9 +116,16 @@ CASES = {
     "compare_output": [
         "compare", "--beta", "0.3", *SMALL, "--output", "{tmp}/report.json",
     ],
+    "compare_output_table": [
+        "compare", "--beta", "0.3", *SMALL, "--format", "table", "--output", "{tmp}/report.json",
+    ],
     "compare_impossible_tolerance": ["compare", *SMALL, "--tol-deviation", "1e-30"],
     "compare_config": ["compare", "--config", "{golden}/compare.conf"],
     "compare_config_flags_win": [
+        "compare", "--config", "{golden}/compare.conf", "--format", "json", "--periods", "3",
+    ],
+    # one period holds two zero crossings, too few to measure a frequency
+    "compare_one_period": [
         "compare", "--config", "{golden}/compare.conf", "--format", "json", "--periods", "1",
     ],
     "compare_negative_periods": ["compare", "--periods", "-1"],

@@ -135,6 +135,15 @@ def test_sr_scales_power_of_two_exact():
         assert s.rho == 1.0
 
 
+def test_sr_scales_past_gamma_to_the_fourth():
+    # gamma**4 overflows from about 1.2e77, gamma**3 only from about 5.6e102
+    s = sr_scales(1e78, 1.0)
+    assert s.omega_max == 1e78**3
+    assert s.time_ratio == pytest.approx(2.0 * math.pi * 1e-312, rel=1e-9)
+    with pytest.raises(ValueError, match="overflow"):
+        sr_scales(1e103, 1.0)
+
+
 def test_sr_scales_general():
     s = sr_scales(10.0, 2.5)
     assert s.omega_max == pytest.approx(2500.0, rel=1e-15)

@@ -28,11 +28,12 @@ REJECTED = [
     ["precess", "--samples-per-period", "1e12"],
     ["precess", "--samples-per-period", "1000000000000"],
     ["compare", "--periods", "1e300"],
-    ["precess", "--coupling-s", "nan"],
-    ["sweep", "--sweep", "beta=0:0.5:2", "--coupling-s", "inf"],
+    ["compare", "--coupling-s", "inf"],
+    ["compare", "--coupling-s", "-1e-3"],
     ["scales", "--gamma", "nan"],
     ["scales", "--gamma", "2", "--omega0", "nan"],
     ["scales", "--gamma", "1e300"],
+    ["scales", "--gamma", "1e103"],
     ["compare", "--tol-deviation", "nan"],
     ["compare", "--tol-frequency", "-1"],
     ["sweep", "--sweep", "beta=0:0.5:2", "--tol-invariant", "-1e-9"],
@@ -47,6 +48,7 @@ REJECTED = [
     ["precess", "--orientation", "custom", "--phi-n-deg", "inf"],
     ["compare", "--coupling-s", "nan"],
     ["compare", "--periods", "1e-9"],
+    ["compare", "--periods", "1", "--samples-per-period", "16"],
     ["sweep", "--sweep", "beta=0.1:0.9:3", "--periods", "1e-5", "--samples-per-period", "16"],
     ["sweep", "--sweep", "beta=0:0.5:2,beta=0.7:0.9:3"],
     ["sweep", "--sweep", "alpha=0:inf:2"],
