@@ -1,13 +1,16 @@
 """Golden-output regression: fixed CLI invocations against recorded bytes.
 
 Each case runs ``spinprec.cli.main`` in-process and compares its exit
-code and stdout bytes (and, for ``--output`` cases, the written file)
-with ``tests/golden/``.  In an argv, ``{golden}`` stands for that
+code, stdout and stderr bytes (and, for ``--output`` cases, the written
+file) with ``tests/golden/``.  In an argv, ``{golden}`` stands for that
 directory, which also holds the config files, and ``{tmp}`` for a
-per-test scratch directory.
+per-test scratch directory; stderr is recorded with both paths written
+back as those placeholders.
 
 An intended change to the recorded output is made by regenerating the
-files and explaining the change in CHANGES.md:
+files and explaining the change in CHANGES.md.  Regeneration runs every
+case twice, in opposite orders and scratch directories, and refuses to
+write output that differs between the two runs:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -172,20 +175,28 @@ def _output_path(argv, tmp):
 
 
 def run_case(argv, tmp):
-    """(exit code, stdout bytes, written file bytes or None) of one case."""
-    with contextlib.redirect_stdout(io.StringIO()) as out:
+    """(exit code, stdout bytes, stderr bytes, written file bytes or None) of one case."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
+        io.StringIO()
+    ) as err:
         code = main(_expand(argv, tmp))
+    err = err.getvalue().replace(str(tmp), "{tmp}").replace(str(GOLDEN), "{golden}")
     target = _output_path(argv, tmp)
-    return code, out.getvalue().encode(), None if target is None else target.read_bytes()
+    written = None if target is None else target.read_bytes()
+    return code, out.getvalue().encode(), err.encode(), written
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name, tmp_path):
     recorded = json.loads(MANIFEST.read_text())[name]
     assert recorded["argv"] == CASES[name], "case changed: regenerate the goldens"
-    code, out, written = run_case(CASES[name], tmp_path)
+    code, out, err, written = run_case(CASES[name], tmp_path)
     assert code == recorded["exit"]
     assert out == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == (GOLDEN / f"{name}.err").read_bytes()
+    if code == 2:
+        # bad input is refused with one line of text, never a traceback
+        assert len(err.splitlines()) == 1, err
     if written is not None:
         assert written == (GOLDEN / f"{name}.file").read_bytes()
 
@@ -195,26 +206,35 @@ def test_manifest_matches_cases():
 
 
 def test_golden_directory_holds_only_case_files():
-    expected = {f"{name}.out" for name in CASES}
+    expected = {f"{name}.{ext}" for name in CASES for ext in ("out", "err")}
     expected |= {f"{name}.file" for name, argv in CASES.items() if _output_path(argv, GOLDEN)}
     expected |= {f"{name}.conf" for name in ("precess", "bmt", "compare", "scales")}
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected | {"manifest.json"})
 
 
-def write_goldens(tmp):
-    """Record every case's exit code, stdout and written file."""
-    for stale in [*GOLDEN.glob("*.out"), *GOLDEN.glob("*.file")]:
+def write_goldens(first, second):
+    """Record every case's exit code, stdout, stderr and written file.
+
+    Each case runs in the scratch directory ``first`` in name order and in
+    ``second`` in reverse order; any byte that differs between the two runs
+    is an output that varies, which no golden can pin, so nothing is written.
+    """
+    runs = {name: run_case(CASES[name], first) for name in sorted(CASES)}
+    for name in sorted(CASES, reverse=True):
+        if run_case(CASES[name], second) != runs[name]:
+            raise SystemExit(f"{name}: output varies between runs; no golden written")
+    for stale in [*GOLDEN.glob("*.out"), *GOLDEN.glob("*.err"), *GOLDEN.glob("*.file")]:
         stale.unlink()
     manifest = {}
-    for name, argv in sorted(CASES.items()):
-        code, out, written = run_case(argv, tmp)
-        manifest[name] = {"argv": argv, "exit": code}
+    for name, (code, out, err, written) in runs.items():
+        manifest[name] = {"argv": CASES[name], "exit": code}
         (GOLDEN / f"{name}.out").write_bytes(out)
+        (GOLDEN / f"{name}.err").write_bytes(err)
         if written is not None:
             (GOLDEN / f"{name}.file").write_bytes(written)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as scratch:
-        write_goldens(Path(scratch))
+    with tempfile.TemporaryDirectory() as first, tempfile.TemporaryDirectory() as second:
+        write_goldens(Path(first), Path(second))
