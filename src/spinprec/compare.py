@@ -2,8 +2,9 @@
 
 The quantum engine and the classical comparator produce series on a
 shared grid; this module measures their componentwise deviation, checks
-invariant conservation, extracts the oscillation frequency from the data
-by zero crossings, and records the results in one report.
+invariant conservation, reads the oscillation frequency off the data
+with an offset-free linear-prediction fit on the uniform grid, and
+records the results in one report.
 
 The frequency is always extracted from the classical series so that a
 fault injected into the comparator (a wrong precession vector, say)
@@ -67,39 +68,49 @@ class ComparisonReport:
 
 
 def extract_frequency(t, series) -> float | None:
-    """Angular frequency from linear-interpolated zero crossings.
+    """Angular frequency of a sampled sinusoid on a uniform grid.
 
-    The series is mean-subtracted first; the period is the mean gap
-    between crossings two apart, which cross in the same direction.
+    With stride ``k`` the differences ``d[n] = y[n+k] - y[n]`` hold no
+    offset, and a sampled sinusoid obeys ``d[n+k] + d[n-k] = 2 cos(w k dt)
+    d[n]`` exactly (the linear-prediction identity of Prony's method).
+    ``cos(w k dt)`` is fitted by least squares over every ``n``.  The
+    stride is about a quarter period, counted from the sign changes of the
+    mean-subtracted series, so ``w k dt`` stays below pi and a wrong
+    frequency cannot alias; four samples, a fraction of a period, suffice.
+
     Returns None when the series has no oscillation to measure.  Raises
-    ValueError when a sample is not finite, or when the series oscillates
-    but covers fewer than three crossings.
+    ValueError for a grid that is not uniform, fewer than four samples, a
+    sample that is not finite, or a series no sinusoid fits.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise ValueError("t and series must be 1-d arrays of equal length")
+    if t.size < 4:
+        raise ValueError(f"series must hold at least 4 samples, got {t.size}")
     check_time_grid(t)
+    dt = (t[-1] - t[0]) / (t.size - 1)
+    # linspace rounds each sample to within half an ulp of the largest |t|,
+    # so its intervals stray from dt by about one such ulp at any length
+    if not np.abs(np.diff(t) - dt).max() <= 4.0 * np.finfo(float).eps * np.abs(t).max():
+        raise ValueError("t must be a uniform grid")
     if not np.isfinite(y).all():
         raise ValueError("series must be finite")
-    y = y - y.mean()
+    centred = y - y.mean()
     scale = max(1.0, float(np.abs(series).max()))
-    if float(np.abs(y).max()) < OSCILLATION_FLOOR * scale:
+    if float(np.abs(centred).max()) < OSCILLATION_FLOOR * scale:
         return None
-    idx = np.nonzero(np.diff(np.signbit(y)))[0]
-    y0, y1, t0, t1 = y[idx], y[idx + 1], t[idx], t[idx + 1]
-    dy = y1 - y0
-    keep = dy != 0.0
-    y0, t0, t1, dy = y0[keep], t0[keep], t1[keep], dy[keep]
-    # linear interpolation to each crossing, one array operation per step
-    crossings = t0 - y0 * (t1 - t0) / dy
-    if len(crossings) < 3:
-        raise ValueError("series must span at least three zero crossings, one full period")
-    # a leftover baseline offset shifts alternate crossings in opposite
-    # directions; spanning an even number of half-periods cancels it
-    last = (len(crossings) - 1) // 2 * 2
-    period = (crossings[last] - crossings[0]) / (last // 2)
-    return float(TWO_PI / period)
+    # two sign changes per period, so a quarter period is size / (2 * changes)
+    changes = int(np.count_nonzero(np.diff(np.signbit(centred))))
+    k = max(1, min(t.size // max(2 * changes, 1), (t.size - 1) // 3))
+    d = y[k:] - y[:-k]
+    mid = d[k:-k]
+    # elementwise sums, not a BLAS dot, whose bits vary with the CPU kernel
+    num = float(np.sum((d[2 * k :] + d[: -2 * k]) * mid))
+    den = 2.0 * float(np.sum(mid * mid))
+    if not (den > 0.0 and abs(num) <= den):
+        raise ValueError("series fits no sinusoid: its cosine fit is undefined or outside [-1, 1]")
+    return math.acos(num / den) / (k * dt)
 
 
 def compare(

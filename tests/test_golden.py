@@ -102,7 +102,7 @@ CASES = {
     "bmt_config": ["bmt", "--config", "{golden}/bmt.conf"],
     "bmt_rk4_coarse_steps": ["bmt", "--method", "rk4", "--steps-per-period", "50"],
     # compare: every orientation, both formats, report file in either format,
-    # failing tolerance, a grid too short to measure the frequency
+    # failing tolerance, grids of whole and fractional periods
     **{
         f"compare_{o}_json": [
             "compare", "--beta", "0.6", "--alpha-deg", "45", *_orient(o), *SMALL,
@@ -127,10 +127,12 @@ CASES = {
     "compare_config_flags_win": [
         "compare", "--config", "{golden}/compare.conf", "--format", "json", "--periods", "3",
     ],
-    # one period holds two zero crossings, too few to measure a frequency
+    # the frequency fit cancels the offset a mean over a non-integer span
+    # leaves, so one period and 1.3 periods read the frequency to roundoff
     "compare_one_period": [
         "compare", "--config", "{golden}/compare.conf", "--format", "json", "--periods", "1",
     ],
+    "compare_fractional_periods": ["compare", "--periods", "1.3", "--samples-per-period", "64"],
     "compare_negative_periods": ["compare", "--periods", "-1"],
     # sweep: every orientation
     **{

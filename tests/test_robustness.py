@@ -48,7 +48,7 @@ REJECTED = [
     ["precess", "--orientation", "custom", "--phi-n-deg", "inf"],
     ["compare", "--coupling-s", "nan"],
     ["compare", "--periods", "1e-9"],
-    ["compare", "--periods", "1", "--samples-per-period", "16"],
+    ["compare", "--periods", "0.125", "--samples-per-period", "16"],
     ["sweep", "--sweep", "beta=0.1:0.9:3", "--periods", "1e-5", "--samples-per-period", "16"],
     ["sweep", "--sweep", "beta=0:0.5:2,beta=0.7:0.9:3"],
     ["sweep", "--sweep", "alpha=0:inf:2"],
