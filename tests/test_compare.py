@@ -70,12 +70,13 @@ def test_extract_frequency_reads_less_than_one_period():
         assert abs(extract_frequency(t, 0.3 + np.cos(t)) - 1.0) < 1e-14
 
 
-def test_extract_frequency_oscillation_floor_scales_with_the_series():
-    # offset 10: the floor is OSCILLATION_FLOOR * 10 in amplitude, not OSCILLATION_FLOOR
+@pytest.mark.parametrize("offset", [0.0, 10.0])
+def test_extract_frequency_oscillation_floor_scales_with_the_series(offset):
+    # the floor is OSCILLATION_FLOOR times the largest |sample|, or times 1 below 1
     t = np.linspace(0.0, 4 * math.pi, 2049)
-    floor = OSCILLATION_FLOOR * 10.0
-    assert extract_frequency(t, 10.0 + 0.9 * floor * np.cos(t)) is None
-    assert abs(extract_frequency(t, 10.0 + 1.1 * floor * np.cos(t)) - 1.0) < 1e-3
+    floor = OSCILLATION_FLOOR * max(1.0, offset)
+    assert extract_frequency(t, offset + 0.9 * floor * np.cos(t)) is None
+    assert abs(extract_frequency(t, offset + 1.1 * floor * np.cos(t)) - 1.0) < 1e-3
 
 
 def test_extract_frequency_refuses_what_no_sinusoid_fits():
