@@ -2,8 +2,7 @@
 
 The quantum engine and the classical comparator produce series on a
 shared grid; this module measures their componentwise deviation, checks
-invariant conservation, reads the oscillation frequency off the data
-with an offset-free linear-prediction fit on the uniform grid, and
+invariant conservation, fits the oscillation frequency to the data, and
 records the results in one report.
 
 The frequency is always extracted from the classical series so that a
@@ -68,48 +67,37 @@ class ComparisonReport:
 
 
 def extract_frequency(t, series) -> float | None:
-    """Angular frequency of a sampled sinusoid on a uniform grid.
+    """Angular frequency of a sampled sinusoid on a uniform grid, or None.
 
-    With stride ``k`` the differences ``d[n] = y[n+k] - y[n]`` hold no
-    offset, and a sampled sinusoid obeys ``d[n+k] + d[n-k] = 2 cos(w k dt)
-    d[n]`` exactly (the linear-prediction identity of Prony's method).
-    ``cos(w k dt)`` is fitted by least squares over every ``n``.  The
-    stride is about a quarter period, counted from the sign changes of the
-    mean-subtracted series, so ``w k dt`` stays below pi and a wrong
-    frequency cannot alias; four samples, a fraction of a period, suffice.
-
-    Returns None when the series has no oscillation to measure.  Raises
-    ValueError for a grid that is not uniform, fewer than four samples, a
-    sample that is not finite, or a series no sinusoid fits.
+    Fits ``d[n+k] + d[n-k] = 2 cos(w k dt) d[n]`` (Prony's linear prediction)
+    by least squares to the offset-free differences ``d[n] = y[n+k] - y[n]``.
+    None means no oscillation.  Raises ValueError for a nonuniform grid or a bad series.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
-    if t.shape != y.shape or t.ndim != 1:
-        raise ValueError("t and series must be 1-d arrays of equal length")
-    if t.size < 4:
-        raise ValueError(f"series must hold at least 4 samples, got {t.size}")
+    if t.shape != y.shape or t.ndim != 1 or t.size < 4:
+        raise ValueError(f"t and series must be 1-d arrays of one length >= 4, got {t.shape} and {y.shape}")
     check_time_grid(t)
     dt = (t[-1] - t[0]) / (t.size - 1)
-    # linspace rounds each sample to within half an ulp of the largest |t|,
-    # so its intervals stray from dt by about one such ulp at any length
-    if not np.abs(np.diff(t) - dt).max() <= 4.0 * np.finfo(float).eps * np.abs(t).max():
+    # linspace puts each sample within half an ulp of the largest |t|, an
+    # end, so its intervals spread by about two such ulps at any length
+    if not np.ptp(np.diff(t)) <= 4.0 * np.finfo(float).eps * max(-t[0], t[-1]):
         raise ValueError("t must be a uniform grid")
     if not np.isfinite(y).all():
         raise ValueError("series must be finite")
     centred = y - y.mean()
-    scale = max(1.0, float(np.abs(series).max()))
+    scale = max(1.0, float(np.abs(y).max()))
     if float(np.abs(centred).max()) < OSCILLATION_FLOOR * scale:
         return None
-    # two sign changes per period, so a quarter period is size / (2 * changes)
+    # two sign changes per period: k is about a quarter period, so w k dt < pi
     changes = int(np.count_nonzero(np.diff(np.signbit(centred))))
     k = max(1, min(t.size // max(2 * changes, 1), (t.size - 1) // 3))
     d = y[k:] - y[:-k]
-    mid = d[k:-k]
     # elementwise sums, not a BLAS dot, whose bits vary with the CPU kernel
-    num = float(np.sum((d[2 * k :] + d[: -2 * k]) * mid))
-    den = 2.0 * float(np.sum(mid * mid))
+    num = float(np.sum((d[2 * k :] + d[: -2 * k]) * d[k:-k]))
+    den = 2.0 * float(np.sum(d[k:-k] * d[k:-k]))
     if not (den > 0.0 and abs(num) <= den):
-        raise ValueError("series fits no sinusoid: its cosine fit is undefined or outside [-1, 1]")
+        raise ValueError("series fits no sinusoid")
     return math.acos(num / den) / (k * dt)
 
 

@@ -59,7 +59,7 @@ def test_extract_frequency_too_short():
     # four samples hold the one stride-1 recurrence the fit needs; three hold none
     t = np.linspace(0.0, 1.0, 4)
     assert abs(extract_frequency(t, 0.3 + np.cos(2.0 * t)) - 2.0) < 1e-14
-    with pytest.raises(ValueError, match="at least 4 samples, got 3"):
+    with pytest.raises(ValueError, match=r"length >= 4, got \(3,\)"):
         extract_frequency(t[:3], np.cos(2.0 * t[:3]))
 
 
@@ -162,7 +162,7 @@ def test_extract_frequency_refuses_nonuniform_grid(n, where, shift):
 @given(n=st.integers(0, 3))
 def test_extract_frequency_refuses_fewer_than_four_samples(n):
     t = np.arange(float(n))
-    with pytest.raises(ValueError, match="at least 4 samples"):
+    with pytest.raises(ValueError, match="length >= 4"):
         extract_frequency(t, np.cos(t))
 
 

@@ -178,9 +178,8 @@ def _output_path(argv, tmp):
 
 def run_case(argv, tmp):
     """(exit code, stdout bytes, stderr bytes, written file bytes or None) of one case."""
-    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(
-        io.StringIO()
-    ) as err:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(_expand(argv, tmp))
     err = err.getvalue().replace(str(tmp), "{tmp}").replace(str(GOLDEN), "{golden}")
     target = _output_path(argv, tmp)
