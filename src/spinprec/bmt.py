@@ -147,11 +147,19 @@ def _interval_maps(cross, dts, steps):
     return maps
 
 
-def _scan(maps):
-    """Chain a block's interval maps in place: maps[i] becomes maps[i] @ ... @ maps[0]."""
-    for j in range((len(maps) - 1).bit_length()):  # a doubling scan
-        maps[2**j :] = maps[2**j :] @ maps[: -(2**j)]
-    return maps
+def _chain(maps, s0):
+    """The state after each of a block's intervals: s[i] = maps[i] @ ... @ maps[0] @ s0.
+
+    By recursive pairing: the products of neighbouring maps chain every second
+    state, and one matvec on the state before fills each state in between.
+    That is about n 3x3 products and n matvecs for n maps, in log2(n) levels.
+    """
+    s = np.empty((len(maps), 3))
+    if len(maps) > 1:
+        s[1::2] = _chain(maps[1::2] @ maps[: len(maps) - 1 : 2], s0)
+    before = np.concatenate([s0[None], s[1:-1:2]])  # the state before each even interval
+    s[::2] = (maps[::2] @ before[:, :, None])[:, :, 0]
+    return s
 
 
 def check_steps_per_period(steps_per_period: int) -> None:
@@ -193,6 +201,6 @@ def integrate(
             # substeps is a function of dt alone, so intervals of equal dt share one map
             u, first, which = np.unique(dts[lo:hi], return_index=True, return_inverse=True)
             maps = _interval_maps(cross, u, substeps[lo:hi][first])
-            s[lo + 1 : hi + 1] = _scan(maps[which]) @ s[lo]
+            s[lo + 1 : hi + 1] = _chain(maps[which], s[lo])
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)

@@ -10,7 +10,9 @@ back as those placeholders.
 An intended change to the recorded output is made by regenerating the
 files and explaining the change in CHANGES.md.  Regeneration runs every
 case twice, in opposite orders and scratch directories, and refuses to
-write output that differs between the two runs:
+write output that differs between the two runs.  It prints one line for
+each case whose recorded output changes: the lines changed, the largest
+difference between the numbers on them, and any change of exit code:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,6 +20,7 @@ write output that differs between the two runs:
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -213,17 +216,65 @@ def test_golden_directory_holds_only_case_files():
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(expected | {"manifest.json"})
 
 
+#: a decimal number as the CLI prints it, in CSV, JSON or a table
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def recorded(name, manifest):
+    """(exit code, stdout, stderr, written file) of a case as recorded, None where absent."""
+    files = (GOLDEN / f"{name}.{ext}" for ext in ("out", "err", "file"))
+    exit_code = manifest.get(name, {}).get("exit")
+    return (exit_code, *(path.read_bytes() if path.exists() else None for path in files))
+
+
+def drift(name, old, new):
+    """One line on how a case's output changes from ``old`` to ``new``, or None if it does not.
+
+    Both are (exit code, stdout, stderr, written file).  Lines are paired by
+    position; numbers are compared on paired lines that hold as many of them.
+    """
+    if old == new:
+        return None
+    changed, largest = 0, 0.0
+    for before, after in zip(old[1:], new[1:]):
+        before = (before or b"").decode().splitlines()
+        after = (after or b"").decode().splitlines()
+        changed += abs(len(before) - len(after))
+        for a, b in zip(before, after):
+            if a != b:
+                changed += 1
+                x, y = NUMBER.findall(a), NUMBER.findall(b)
+                if len(x) == len(y):
+                    largest = max([largest, *(abs(float(p) - float(q)) for p, q in zip(x, y))])
+    line = f"{name}: {changed} lines changed, largest float difference {largest:.2g}"
+    return line if old[0] == new[0] else f"{line}, exit {old[0]} -> {new[0]}"
+
+
+def test_drift_counts_changed_lines_float_difference_and_exit():
+    old = (0, b"t,x\n0,1.5\n1,2.0\n", b"", None)
+    new = (1, b"t,x\n0,1.5000000000000002\n1,2.0\n2,2.5\n", b"warning\n", None)
+    assert drift("c", old, old) is None
+    assert drift("c", old, new) == "c: 3 lines changed, largest float difference 2.2e-16, exit 0 -> 1"
+    assert drift("c", new, (1, *new[1:3], b"{}")) == "c: 1 lines changed, largest float difference 0"
+
+
 def write_goldens(first, second):
     """Record every case's exit code, stdout, stderr and written file.
 
     Each case runs in the scratch directory ``first`` in name order and in
     ``second`` in reverse order; any byte that differs between the two runs
     is an output that varies, which no golden can pin, so nothing is written.
+    Otherwise each case whose recorded output changes is named on stdout.
     """
     runs = {name: run_case(CASES[name], first) for name in sorted(CASES)}
     for name in sorted(CASES, reverse=True):
         if run_case(CASES[name], second) != runs[name]:
             raise SystemExit(f"{name}: output varies between runs; no golden written")
+    old = json.loads(MANIFEST.read_text())
+    for name, run in runs.items():
+        line = drift(name, recorded(name, old), run)
+        if line is not None:
+            print(line)
     for stale in [*GOLDEN.glob("*.out"), *GOLDEN.glob("*.err"), *GOLDEN.glob("*.file")]:
         stale.unlink()
     manifest = {}
