@@ -96,6 +96,13 @@ def map_pi_to_rest(pi, kin: Kinematics) -> np.ndarray:
     return (pi + (kin.gamma - 1.0) * proj[..., None] * bhat) / kin.gamma
 
 
+def _cross(a, b):
+    """a x b of two 3-sequences of floats, with the multiplies and subtractions of np.cross."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
 def trajectory_exact(
     s0, omega: PrecessionVector, t_grid, kin: Kinematics
 ) -> PrecessionTrajectory:
@@ -110,7 +117,7 @@ def trajectory_exact(
         s = np.tile(s0, (t.size, 1))
     else:
         axis = omega.omega_vec / w
-        cross = np.cross(axis, s0)
+        cross = _cross(axis.tolist(), s0.tolist())
         along = axis * (axis @ s0)
         c = w * t
         si = np.sin(c)
@@ -195,7 +202,8 @@ def integrate(
             raise ValueError(
                 f"{total:.3g} rk4 substeps exceed the {MAX_RK4_SUBSTEPS:.0e}-substep guard"
             )
-        cross = np.cross(np.eye(3), omega.omega_vec)  # row j is e_j x Omega: cross @ s = Omega x s
+        # row j is e_j x Omega: cross @ s = Omega x s
+        cross = np.array([_cross(e, omega.omega_vec.tolist()) for e in np.eye(3).tolist()])
         for lo in range(0, dts.size, _BLOCK):
             hi = lo + _BLOCK  # s[lo], the last state of the block before, carries over
             # substeps is a function of dt alone, so intervals of equal dt share one map

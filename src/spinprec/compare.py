@@ -118,9 +118,14 @@ def compare(
     if not np.array_equal(quantum.t, classical.t):
         raise ValueError("quantum and classical series must share one time grid")
     series = (*classical.pi.T, classical.beta_pi)
-    dev = {k: float(np.abs(getattr(quantum, k) - c).max()) for k, c in zip(_COMPONENTS, series)}
-    inv_err = float(np.abs(quantum.invariant - 1.0).max())
-    spans = [float(np.ptp(c)) for c in series]
+    buf = np.empty(quantum.t.shape)  # one scratch row for every difference below
+    dev = {}
+    for k, c in zip(_COMPONENTS, series):
+        np.subtract(getattr(quantum, k), c, out=buf)
+        dev[k] = float(np.abs(buf, out=buf).max())
+    np.subtract(quantum.invariant, 1.0, out=buf)
+    inv_err = float(np.abs(buf, out=buf).max())
+    spans = [float(c.max() - c.min()) for c in series]  # np.ptp, without its wrapper
     extracted = extract_frequency(classical.t, series[int(np.argmax(spans))])
     freq_ok = extracted is None or (
         abs(extracted - frequency_formula) <= tol.frequency_rel * abs(frequency_formula)

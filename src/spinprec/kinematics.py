@@ -180,6 +180,6 @@ def check_time_grid(t_grid) -> np.ndarray:
     # ascending order bounds the interior by the ends
     if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
         raise ValueError("time grid must be finite")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
+    if not (t[1:] > t[:-1]).all():
         raise ValueError("time grid must be strictly ascending")
     return t

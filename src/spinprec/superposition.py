@@ -158,12 +158,32 @@ def evolve_expectations(
     wp = abs(sup.amp_plus) ** 2
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
-    phase = np.exp(1j * omega * t)
-    # row k is <Pi_k>_t, each operation in the order of the formula above
     diag = wp * me_p.diag.real + wm * me_m.diag.real
-    pi_x, pi_y, pi_z = diag[:, None] + 2.0 * np.real(cw * phase * me_m.cross[:, None])
-    beta_pi = kin.beta_perp * pi_x + kin.beta_z * pi_z
-    invariant = (pi_x**2 + pi_y**2 + pi_z**2) / kin.gamma**2 + beta_pi**2
+    cos = omega * t  # the phase, then its cosine in the same buffer
+    sin = np.sin(cos)
+    np.cos(cos, out=cos)
+    # row k is cos(omega t) Re g_k - sin(omega t) Im g_k + diag_k with g_k = 2 conj(A) B cross_k,
+    # in real arithmetic: numpy's complex multiply fuses multiply-adds on some CPUs only
+    pi = np.empty((3, t.size))
+    term = np.empty(t.size)
+    for row, cross, d in zip(pi, me_m.cross.tolist(), diag.tolist()):
+        g = 2.0 * cw * cross
+        np.multiply(cos, g.real, out=row)
+        np.multiply(sin, g.imag, out=term)
+        row -= term
+        row += d
+    pi_x, pi_y, pi_z = pi
+    # beta_pi = beta_perp pi_x + beta_z pi_z and the invariant, each in that order, in place
+    beta_pi = np.multiply(pi_x, kin.beta_perp)
+    np.multiply(pi_z, kin.beta_z, out=term)
+    beta_pi += term
+    invariant = np.square(pi_x)
+    for c in (pi_y, pi_z):
+        np.square(c, out=term)
+        invariant += term
+    invariant /= kin.gamma**2
+    np.square(beta_pi, out=term)
+    invariant += term
     return PolarizationHistory(t, pi_x, pi_y, pi_z, beta_pi, invariant)
 
 

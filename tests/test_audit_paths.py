@@ -13,11 +13,11 @@ matvec per map to roundoff that grows with the number of maps.
 equal the build of one map per interval, kept here and chained by the
 same pairing, bit for bit.  Both paths must also stay independent of the
 closed path they audit.
-The closed path ``evolve_expectations`` computes its three components in
-one broadcast; it must equal the one-expression-per-component formula,
-kept here, bit for bit.  The exact rotation ``trajectory_exact`` and the
-boost ``map_rest_to_pi`` compute one contiguous row per component; they
-must equal the ``(N, 1) x (3,)`` broadcasts, kept here, bit for bit.
+The closed path ``evolve_expectations`` computes its three components
+row by row in real arithmetic; it must equal the one-expression-per-component
+formula, kept here, bit for bit.  The exact rotation ``trajectory_exact``
+and the boost ``map_rest_to_pi`` compute one contiguous row per component;
+they must equal the ``(N, 1) x (3,)`` broadcasts, kept here, bit for bit.
 """
 
 import cmath
@@ -149,19 +149,24 @@ def test_spinor_path_refuses_nonpositive_coupling(s):
 
 
 def reference_closed(sup, kin, t):
-    """One expression per component, on the scalar matrix elements."""
+    """One expression per component, on the scalar matrix elements.
+
+    2 Re[conj(A) B e^{i w t} cross_k] is cos(w t) Re g_k - sin(w t) Im g_k
+    with g_k = 2 conj(A) B cross_k, a Python complex scalar.
+    """
     p = closed_form_matrix_elements(kin, +1)
     m = closed_form_matrix_elements(kin, -1)
     diag_x, diag_y, diag_z = (complex(c) for c in p.diag)
     mdiag_x, mdiag_y, mdiag_z = (complex(c) for c in m.diag)
-    cross_x, cross_y, cross_z = (complex(c) for c in m.cross)
     wp = abs(sup.amp_plus) ** 2
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
-    phase = np.exp(1j * precession_frequency(kin) * t)
-    pi_x = wp * diag_x.real + wm * mdiag_x.real + 2.0 * np.real(cw * phase * cross_x)
-    pi_y = wp * diag_y.real + wm * mdiag_y.real + 2.0 * np.real(cw * phase * cross_y)
-    pi_z = wp * diag_z.real + wm * mdiag_z.real + 2.0 * np.real(cw * phase * cross_z)
+    g_x, g_y, g_z = (2.0 * cw * complex(c) for c in m.cross)
+    wt = precession_frequency(kin) * t
+    cos, sin = np.cos(wt), np.sin(wt)
+    pi_x = cos * g_x.real - sin * g_x.imag + (wp * diag_x.real + wm * mdiag_x.real)
+    pi_y = cos * g_y.real - sin * g_y.imag + (wp * diag_y.real + wm * mdiag_y.real)
+    pi_z = cos * g_z.real - sin * g_z.imag + (wp * diag_z.real + wm * mdiag_z.real)
     beta_pi = kin.beta_perp * pi_x + kin.beta_z * pi_z
     invariant = (pi_x**2 + pi_y**2 + pi_z**2) / kin.gamma**2 + beta_pi**2
     return pi_x, pi_y, pi_z, beta_pi, invariant

@@ -15,18 +15,32 @@ each case whose recorded output changes: the lines changed, the largest
 difference between the numbers on them, and any change of exit code:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The recorded bytes must not depend on numpy's SIMD dispatch: one test
+reruns every case in a subprocess with each dispatch target above numpy's
+baseline that this CPU runs switched off (``NPY_DISABLE_CPU_FEATURES``).
+They still depend on the OpenBLAS kernel, which that test does not vary.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import spinprec
 from spinprec.cli import main
+
+try:
+    from numpy._core import _multiarray_umath as _umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as _umath
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = GOLDEN / "manifest.json"
@@ -256,6 +270,37 @@ def test_drift_counts_changed_lines_float_difference_and_exit():
     assert drift("c", old, old) is None
     assert drift("c", old, new) == "c: 3 lines changed, largest float difference 2.2e-16, exit 0 -> 1"
     assert drift("c", new, (1, *new[1:3], b"{}")) == "c: 1 lines changed, largest float difference 0"
+
+
+def active_dispatch():
+    """numpy's SIMD dispatch targets, above its baseline, that this process runs."""
+    return [name for name in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(name)]
+
+
+#: every case once more, printing the drift line of each that differs
+RERUN = """
+import json, tempfile
+from pathlib import Path
+from test_golden import CASES, MANIFEST, active_dispatch, drift, recorded, run_case
+assert not active_dispatch(), f"still active: {active_dispatch()}"
+manifest = json.loads(MANIFEST.read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    for name in sorted(CASES):
+        line = drift(name, recorded(name, manifest), run_case(CASES[name], Path(tmp)))
+        if line is not None:
+            print(line)
+"""
+
+
+def test_goldens_hold_without_simd_dispatch():
+    active = active_dispatch()
+    if not active:
+        pytest.skip("numpy runs no SIMD dispatch target above its baseline here")
+    paths = [Path(__file__).parent, Path(spinprec.__file__).parents[1], os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(active))
+    env["PYTHONPATH"] = os.pathsep.join(str(p) for p in paths if p)
+    run = subprocess.run([sys.executable, "-c", RERUN], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == "", f"{active} off:\n{run.stdout}{run.stderr}"
 
 
 def write_goldens(first, second):

@@ -15,6 +15,7 @@ from spinprec import (
     precession_frequency,
     sr_scales,
 )
+from spinprec.kinematics import check_time_grid
 
 betas = st.floats(min_value=0.0, max_value=0.99)
 alphas = st.floats(min_value=0.0, max_value=math.pi)
@@ -149,3 +150,35 @@ def test_sr_scales_general():
     assert s.omega_max == pytest.approx(2500.0, rel=1e-15)
     assert s.time_ratio == pytest.approx(2.0 * math.pi * 1e-4, rel=1e-15)
     assert s.rho == pytest.approx(0.4, rel=1e-15)
+
+
+#: values that make a difference or a comparison go wrong: NaN, infinities,
+#: signed zeros and subnormals
+odd_floats = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310])
+
+
+@st.composite
+def near_ascending_grids(draw):
+    """A start, then steps that may be zero, negative, subnormal, NaN or infinite."""
+    start = draw(st.floats(-1e-300, 1e-300) | st.floats(-1e3, 1e3) | odd_floats)
+    steps = draw(st.lists(st.sampled_from([1.0, 5e-324, 1e-310, 1e-17]) | odd_floats, max_size=8))
+    grid = [start]
+    for step in steps:
+        grid.append(grid[-1] + step if math.isfinite(step) else step)
+    return grid
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats() | odd_floats, min_size=1, max_size=8) | near_ascending_grids())
+def test_ascent_check_agrees_with_positive_differences(grid):
+    t = np.array(grid)
+    with np.errstate(all="ignore"):
+        ascending = bool(np.all(np.diff(t) > 0))
+    if not (math.isfinite(t[0]) and math.isfinite(t[-1])):
+        with pytest.raises(ValueError, match="^time grid must be finite$"):
+            check_time_grid(t)
+    elif ascending:
+        assert check_time_grid(t) is t
+    else:
+        with pytest.raises(ValueError, match="^time grid must be strictly ascending$"):
+            check_time_grid(t)
