@@ -109,33 +109,35 @@ def trajectory_exact(
     """Rotate ``s0`` about Omega by |Omega| t at each grid time; map to lab polarization.
 
     ``s0`` must be a unit 3-vector and ``t_grid`` nonempty, finite and strictly ascending.
+    With precession, ``s`` and ``pi`` are component-major: each row of ``s.T`` and
+    ``pi.T`` is contiguous.
     """
     s0 = check_unit(s0, "s0")
     t = check_time_grid(t_grid)
     w = omega.magnitude
     if w == 0.0:
         s = np.tile(s0, (t.size, 1))
-    else:
-        axis = omega.omega_vec / w
-        cross = _cross(axis.tolist(), s0.tolist())
-        along = axis * (axis @ s0)
-        c = w * t
-        si = np.sin(c)
-        np.cos(c, out=c)
-        one_minus_c = 1.0 - c
-        s = np.empty((t.size, 3))
-        row = np.empty(t.size)
-        term = np.empty(t.size)
-        for j in range(3):
-            # (s0_j c + cross_j si) + along_j (1 - c), the Rodrigues sum in its vector order
-            np.multiply(c, s0[j], out=row)
-            np.multiply(si, cross[j], out=term)
-            row += term
-            np.multiply(one_minus_c, along[j], out=term)
-            row += term
-            s[:, j] = row
-    pi, beta_pi = map_rest_to_pi(s, kin)
-    return PrecessionTrajectory(t, s, pi, beta_pi)
+        return PrecessionTrajectory(t, s, *map_rest_to_pi(s, kin))
+    # Rodrigues: s(t) = along + (s0 - along) cos(wt) + (axis x s0) sin(wt).  The boost
+    # is linear, so pi and beta_pi are the same sinusoid of the three boosted vectors.
+    axis = omega.omega_vec / w
+    along = axis * (axis @ s0)
+    vecs = np.array([along, s0 - along, _cross(axis.tolist(), s0.tolist())])
+    pi_vecs, beta_pi_vecs = map_rest_to_pi(vecs, kin)
+    # coefs[r] = (c0, c1, c2) of output row r: s x3, pi x3, beta_pi
+    coefs = np.concatenate([vecs.T, pi_vecs.T, beta_pi_vecs[None]]).tolist()
+    c = w * t
+    si = np.sin(c)
+    np.cos(c, out=c)
+    rows = np.empty((7, t.size))
+    term = np.empty(t.size)
+    for row, (c0, c1, c2) in zip(rows, coefs):
+        # (c0 + c1 cos) + c2 sin, each row contiguous and built in place
+        np.multiply(c, c1, out=row)
+        row += c0
+        np.multiply(si, c2, out=term)
+        row += term
+    return PrecessionTrajectory(t, rows[:3].T, rows[3:6].T, rows[6])
 
 
 def _interval_maps(cross, dts, steps):

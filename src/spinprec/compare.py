@@ -83,11 +83,12 @@ def extract_frequency(t, series) -> float | None:
     # end, so its intervals spread by about two such ulps at any length
     if not np.ptp(np.diff(t)) <= 4.0 * np.finfo(float).eps * max(-t[0], t[-1]):
         raise ValueError("t must be a uniform grid")
-    if not np.isfinite(y).all():
+    lo, hi = float(y.min()), float(y.max())  # NaN in y makes both NaN
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("series must be finite")
     centred = y - y.mean()
-    scale = max(1.0, float(np.abs(y).max()))
-    if float(np.abs(centred).max()) < OSCILLATION_FLOOR * scale:
+    scale = max(1.0, -lo, hi)
+    if max(float(centred.max()), -float(centred.min())) < OSCILLATION_FLOOR * scale:
         return None
     # two sign changes per period: k is about a quarter period, so w k dt < pi
     changes = int(np.count_nonzero(np.diff(np.signbit(centred))))
@@ -115,7 +116,7 @@ def compare(
     most must run at ``frequency_formula``.
     """
     tol = tolerances or Tolerances()
-    if not np.array_equal(quantum.t, classical.t):
+    if quantum.t is not classical.t and not np.array_equal(quantum.t, classical.t):
         raise ValueError("quantum and classical series must share one time grid")
     series = (*classical.pi.T, classical.beta_pi)
     buf = np.empty(quantum.t.shape)  # one scratch row for every difference below

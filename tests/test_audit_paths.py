@@ -15,9 +15,13 @@ same pairing, bit for bit.  Both paths must also stay independent of the
 closed path they audit.
 The closed path ``evolve_expectations`` computes its three components
 row by row in real arithmetic; it must equal the one-expression-per-component
-formula, kept here, bit for bit.  The exact rotation ``trajectory_exact``
-and the boost ``map_rest_to_pi`` compute one contiguous row per component;
-they must equal the ``(N, 1) x (3,)`` broadcasts, kept here, bit for bit.
+formula, kept here, bit for bit.  The boost ``map_rest_to_pi`` computes one
+contiguous row per component; it must equal the ``(N, 1) x (3,)`` broadcast,
+kept here, bit for bit.  The exact rotation ``trajectory_exact`` boosts the
+three vectors of Rodrigues' formula once and sums each output row from them;
+it must equal the same sum as broadcasts, kept here, bit for bit, and the
+rotation of every sample followed by its boost, also kept here, to roundoff
+scaled by gamma.
 """
 
 import cmath
@@ -399,22 +403,49 @@ def reference_map_rest_to_pi(s, kin):
 
 
 def reference_trajectory_exact(s0, omega, t, kin):
-    """Rodrigues' formula as (N, 1) x (3,) broadcasts, then the reference boost."""
+    """The reference boost of Rodrigues' three vectors, each summed as (N, 1) x (3,) broadcasts."""
     w = omega.magnitude
     if w == 0.0:
         s = np.tile(s0, (t.size, 1))
-    else:
-        axis = omega.omega_vec / w
-        theta = w * t
-        c, si = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        s = s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
+        return (s, *reference_map_rest_to_pi(s, kin))
+    axis = omega.omega_vec / w
+    along = axis * (axis @ s0)
+    vecs = np.array([along, s0 - along, np.cross(axis, s0)])
+    pi_vecs, beta_pi_vecs = reference_map_rest_to_pi(vecs, kin)
+    theta = w * t
+    c, si = np.cos(theta), np.sin(theta)
+    s = vecs[0] + vecs[1] * c[:, None] + vecs[2] * si[:, None]
+    pi = pi_vecs[0] + pi_vecs[1] * c[:, None] + pi_vecs[2] * si[:, None]
+    return s, pi, beta_pi_vecs[0] + beta_pi_vecs[1] * c + beta_pi_vecs[2] * si
+
+
+def reference_rotation_then_boost(s0, omega, t, kin):
+    """Rodrigues' formula at every sample as (N, 1) x (3,) broadcasts, then the reference boost."""
+    axis = omega.omega_vec / omega.magnitude
+    theta = omega.magnitude * t
+    c, si = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    s = s0 * c + np.cross(axis, s0) * si + axis * (axis @ s0) * (1.0 - c)
     return (s, *reference_map_rest_to_pi(s, kin))
 
 
-def assert_exact_rotation_bit_exact(s0, omega, t, kin):
+#: c in |trajectory_exact - rotation then boost| <= c eps gamma.  Both sum terms of size
+#: at most 2 with a few roundings each, and the boost scales them by gamma; its
+#: cancellation along the motion leaves either side about eps gamma off.  2,000 draws
+#: of the two grid tests below gave at most 2.9 eps gamma.
+ROTATION_ROUNDOFF = 8.0
+
+
+def assert_exact_rotation_matches_references(s0, omega, t, kin):
+    """Bit for bit the coefficient sum, and within ROTATION_ROUNDOFF eps gamma of the
+    rotation of every sample followed by its boost."""
     traj = trajectory_exact(s0, omega, t, kin)
+    got = (traj.s, traj.pi, traj.beta_pi)
     assert traj.t.tobytes() == t.tobytes()
-    assert_same_bits((traj.s, traj.pi, traj.beta_pi), reference_trajectory_exact(s0, omega, t, kin))
+    assert_same_bits(got, reference_trajectory_exact(s0, omega, t, kin))
+    if omega.magnitude > 0.0:
+        bound = ROTATION_ROUNDOFF * np.finfo(float).eps * kin.gamma
+        for name, a, b in zip(("s", "pi", "beta_pi"), got, reference_rotation_then_boost(s0, omega, t, kin)):
+            assert np.abs(a - b).max() <= bound, name
 
 
 exact_gammas = st.floats(min_value=1.0001, max_value=1e3)
@@ -445,7 +476,7 @@ def test_exact_rotation_bit_exact_on_uniform_grids(seed, gamma, alpha, s0, perio
     s0 = rotation_start(seed, kin, s0, theta, phi)
     omega = omega_vector(kin)
     t = np.linspace(0.0, periods * TWO_PI / omega.magnitude, samples)
-    assert_exact_rotation_bit_exact(s0, omega, t, kin)
+    assert_exact_rotation_matches_references(s0, omega, t, kin)
 
 
 @settings(max_examples=150, deadline=None)
@@ -464,13 +495,13 @@ def test_exact_rotation_bit_exact_on_nonuniform_grids(seed, gamma, alpha, s0, t0
     s0 = rotation_start(seed, kin, s0, theta, phi)
     t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
     assume(np.all(np.diff(t) > 0))
-    assert_exact_rotation_bit_exact(s0, omega_vector(kin), t, kin)
+    assert_exact_rotation_matches_references(s0, omega_vector(kin), t, kin)
 
 
 @pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [-2.0, 0.5, 3.0, 3.1]], ids=str)
 def test_exact_rotation_bit_exact_without_precession(t):
     kin = kinematics(2.0, 0.3)
-    assert_exact_rotation_bit_exact(spin_axis(0.4, 2.2), PrecessionVector(np.zeros(3)), np.array(t), kin)
+    assert_exact_rotation_matches_references(spin_axis(0.4, 2.2), PrecessionVector(np.zeros(3)), np.array(t), kin)
 
 
 spin_components = st.floats(min_value=-1e3, max_value=1e3)

@@ -201,16 +201,22 @@ def test_map_accepts_stacked_vectors():
 
 
 def test_trajectory_layout():
-    # s is row-major for the boost's matvec; pi is component-major, so each pi.T row is contiguous
+    # the exact rotation fills one contiguous row per component of s, pi and beta_pi
     kin = make_kinematics(0.7, 0.8)
     t = np.linspace(0.0, 3 * period(kin), 101)
-    for traj in (
-        trajectory_exact(spin_axis(0.3, 0.1), omega_vector(kin), t, kin),
-        integrate(spin_axis(0.3, 0.1), omega_vector(kin), t, kin),
-    ):
-        assert traj.s.shape == traj.pi.shape == (t.size, 3)
-        assert traj.s.flags.c_contiguous
-        assert all(row.flags.c_contiguous for row in traj.pi.T)
+    traj = trajectory_exact(spin_axis(0.3, 0.1), omega_vector(kin), t, kin)
+    assert traj.s.shape == traj.pi.shape == (t.size, 3)
+    assert all(row.flags.c_contiguous for row in (*traj.s.T, *traj.pi.T, traj.beta_pi))
+
+
+def test_integrate_layout():
+    # RK4 chains whole states, so s is row-major; the boost makes each pi.T row contiguous
+    kin = make_kinematics(0.7, 0.8)
+    t = np.linspace(0.0, 3 * period(kin), 101)
+    traj = integrate(spin_axis(0.3, 0.1), omega_vector(kin), t, kin)
+    assert traj.s.shape == traj.pi.shape == (t.size, 3)
+    assert traj.s.flags.c_contiguous
+    assert all(row.flags.c_contiguous for row in traj.pi.T)
 
 
 def test_z_orientation_maps_onto_precession_axis():

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinprec import (
     FieldCoupling,
@@ -98,6 +99,44 @@ def test_extract_frequency_shape_checks():
     # refused as such, not as the undefined fit the NaN would leave
     with pytest.raises(ValueError, match="series must be finite"):
         extract_frequency(t, y)
+
+
+def reference_screen(y):
+    """extract_frequency's finiteness check and oscillation floor as first written, in full passes."""
+    if not np.isfinite(y).all():
+        return "not finite"
+    centred = y - y.mean()
+    scale = max(1.0, float(np.abs(y).max()))
+    return "constant" if float(np.abs(centred).max()) < OSCILLATION_FLOOR * scale else "fit"
+
+
+def screen(y):
+    """Which way extract_frequency took a series: refused as not finite, constant, or fitted."""
+    try:
+        f = extract_frequency(np.arange(float(y.size)), y)
+    except ValueError as e:
+        return "not finite" if str(e) == "series must be finite" else "fit"
+    return "constant" if f is None else "fit"
+
+
+@st.composite
+def offset_sinusoids(draw):
+    """An offset of either sign with an oscillation near the floor that the offset sets."""
+    offset = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, 12.0))
+    amplitude = max(1.0, abs(offset)) * 10.0 ** draw(st.floats(-12.0, -6.0))
+    return offset + amplitude * np.cos(np.arange(draw(st.integers(4, 40))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.one_of(hnp.arrays(float, st.integers(4, 40), elements=st.floats()), offset_sinusoids()))
+@example(y=np.array([0.0, math.nan, 1.0, 0.0]))
+@example(y=np.array([0.0, 1.0, math.inf, 0.0]))
+@example(y=np.array([-math.inf, 1.0, 0.0, 1.0]))
+@example(y=np.array([1e308, 1e308, 1e308, 1e308]))
+def test_extract_frequency_screens_series_as_full_passes_did(y):
+    # with numpy's floating-point errors ignored, a series whose mean overflows is screened too
+    with np.errstate(all="ignore"):
+        assert screen(y) == reference_screen(y)
 
 
 @pytest.mark.parametrize(
@@ -208,6 +247,21 @@ def test_compare_grid_mismatch():
     for other in (shifted, shorter):
         with pytest.raises(ValueError):
             compare(hist, other, frequency_formula=precession_frequency(kin))
+
+
+def test_compare_checks_a_grid_it_does_not_share():
+    # run_comparison hands both sides one grid object; a distinct grid is compared by value
+    kin = make_kinematics(0.6, math.pi / 4)
+    _, quantum, classical = run_comparison(initial_amplitudes_closed("y", 1, kin), kin, COUP, 2.0, 64)
+    assert quantum.t is classical.t
+    hist, traj = _pair(kin)
+    copy = PrecessionTrajectory(traj.t.copy(), traj.s, traj.pi, traj.beta_pi)
+    formula = precession_frequency(kin)
+    assert compare(hist, copy, frequency_formula=formula) == compare(hist, traj, frequency_formula=formula)
+    nudged = traj.t.copy()
+    nudged[-1] = np.nextafter(nudged[-1], math.inf)
+    with pytest.raises(ValueError, match="share one time grid"):
+        compare(hist, PrecessionTrajectory(nudged, traj.s, traj.pi, traj.beta_pi), frequency_formula=formula)
 
 
 def test_compare_deviation_is_symmetric():

@@ -19,7 +19,8 @@ difference between the numbers on them, and any change of exit code:
 The recorded bytes must not depend on numpy's SIMD dispatch: one test
 reruns every case in a subprocess with each dispatch target above numpy's
 baseline that this CPU runs switched off (``NPY_DISABLE_CPU_FEATURES``).
-They still depend on the OpenBLAS kernel, which that test does not vary.
+They still depend on the OpenBLAS kernel, which that test does not vary;
+CI logs how many cases differ under two other kernels, from ``drift_lines``.
 """
 
 import contextlib
@@ -277,18 +278,20 @@ def active_dispatch():
     return [name for name in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(name)]
 
 
+def drift_lines():
+    """Run every case once more; the drift line of each whose output differs from its record."""
+    manifest = json.loads(MANIFEST.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = (drift(name, recorded(name, manifest), run_case(CASES[name], Path(tmp))) for name in sorted(CASES))
+        return [line for line in lines if line is not None]
+
+
 #: every case once more, printing the drift line of each that differs
 RERUN = """
-import json, tempfile
-from pathlib import Path
-from test_golden import CASES, MANIFEST, active_dispatch, drift, recorded, run_case
+from test_golden import active_dispatch, drift_lines
 assert not active_dispatch(), f"still active: {active_dispatch()}"
-manifest = json.loads(MANIFEST.read_text())
-with tempfile.TemporaryDirectory() as tmp:
-    for name in sorted(CASES):
-        line = drift(name, recorded(name, manifest), run_case(CASES[name], Path(tmp)))
-        if line is not None:
-            print(line)
+for line in drift_lines():
+    print(line)
 """
 
 
