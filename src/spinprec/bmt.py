@@ -76,16 +76,7 @@ def map_rest_to_pi(s, kin: Kinematics) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(s, dtype=float)
     bhat = motion_axis(kin)
     proj = s @ bhat
-    scaled = (kin.gamma - 1.0) * proj
-    # component-major: pi[..., j] is the contiguous row j of pi_rows, computed in place
-    pi_rows = np.empty((3,) + s.shape[:-1])
-    term = np.empty(s.shape[:-1])
-    for j in range(3):
-        row = pi_rows[j, ...]
-        np.multiply(s[..., j], kin.gamma, out=row)
-        np.multiply(scaled, bhat[j], out=term)
-        row -= term
-    return np.moveaxis(pi_rows, 0, -1), kin.beta * proj
+    return kin.gamma * s - ((kin.gamma - 1.0) * proj)[..., None] * bhat, kin.beta * proj
 
 
 def map_pi_to_rest(pi, kin: Kinematics) -> np.ndarray:

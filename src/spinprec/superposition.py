@@ -195,24 +195,18 @@ def evolve_expectations_spinor(
 ) -> PolarizationHistory:
     """Brute-force audit path: evolve the 4-spinor and sandwich the matrices.
 
-    The state at time t is A e^{-i gamma_+ t/(2s)} |+> + B e^{-i gamma_-
-    t/(2s)} |->, built for every grid time at once.  The branch phase is
-    evaluated as the product e^{-i (gamma/(2s)) t} * e^{-/+ i (q/(2 gamma)) t}
-    so the large common phase never enters a floating-point difference.
-    Requires 0 < s < inf.
+    The state at time t is A e^{-i gamma_+ t/(2s)} |+> + B e^{-i gamma_- t/(2s)} |->,
+    built for every grid time at once.  With gamma_+/- = gamma +/- s q/gamma
+    the branch phases share the factor e^{-i gamma t/(2s)}, which cancels
+    exactly in every <psi|Pi_k|psi>; so only the relative phases
+    e^{-/+ i (q/(2 gamma)) t} are evolved, and ``coupling`` is not read.
     """
-    if not 0.0 < coupling.s < math.inf:
-        raise ValueError(f"spinor evolution needs a finite coupling strength > 0, got {coupling.s}")
     t = check_time_grid(t_grid)
     ket_p = spin_coefficients(+1, kin)
     ket_m = spin_coefficients(-1, kin)
     mats = np.array([pi_component_matrix(axis, kin) for axis in AXES])
-    common_rate = kin.gamma / (2.0 * coupling.s)
-    rel_rate = kin.q / (2.0 * kin.gamma)
-    z_rel = np.exp(-1j * rel_rate * t)[:, None]
-    states = np.exp(-1j * common_rate * t)[:, None] * (
-        sup.amp_plus * z_rel * ket_p + sup.amp_minus * z_rel.conj() * ket_m
-    )
+    z_rel = np.exp(-1j * (kin.q / (2.0 * kin.gamma)) * t)[:, None]
+    states = sup.amp_plus * z_rel * ket_p + sup.amp_minus * z_rel.conj() * ket_m
     # pi[n, k] = <state_n| mats[k] |state_n>, every sample and component at once
     pi = np.einsum("ni,kni->nk", states.conj(), states @ mats.transpose(0, 2, 1)).real
     beta_pi = kin.beta_perp * pi[:, 0] + kin.beta_z * pi[:, 2]

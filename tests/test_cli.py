@@ -49,6 +49,29 @@ def test_eigenstate_moving(capsys):
     assert "verdict: pass" in out
 
 
+HIGH_GAMMA = ("eigenstate", "--beta", "0.999999999", "--alpha-deg", "45")
+
+
+def test_eigenstate_passes_at_high_gamma(capsys):
+    # the residual and the element errors are O(gamma): 7.3e-12 here is 3.3e-16 gamma
+    code, out, _ = run(capsys, *HIGH_GAMMA)
+    assert code == 0
+    assert "verdict: pass" in out
+
+
+def test_eigenstate_fails_on_a_skewed_closed_form(capsys, monkeypatch):
+    exact = cli.closed_form_matrix_elements
+
+    def skewed(kin, zeta):
+        me = exact(kin, zeta)
+        return type(me)(me.diag * (1.0 + 1e-9), me.cross * (1.0 + 1e-9))
+
+    monkeypatch.setattr(cli, "closed_form_matrix_elements", skewed)
+    code, out, _ = run(capsys, *HIGH_GAMMA)
+    assert code == 1
+    assert "verdict: FAIL" in out
+
+
 def test_eigenstate_rejects_luminal_speed(capsys):
     code, _, err = run(capsys, "eigenstate", "--beta", "1.0", "--alpha-deg", "0")
     assert code == 2

@@ -130,7 +130,7 @@ CASES = {
     **{
         f"compare_{o}_table": [
             "compare", "--beta", "0.95", "--alpha-deg", "100", *_orient(o), *SMALL,
-            "--format", "table", "--epsilon", "-1", "--coupling-s", "0.002",
+            "--format", "table", "--epsilon", "-1",
         ]
         for o in ORIENTATIONS
     },

@@ -5,8 +5,6 @@ axis or start spin is a unit 3-vector, and a time grid is 1-d, nonempty,
 finite and strictly ascending.
 """
 
-import contextlib
-import io
 import math
 import re
 import warnings
@@ -30,6 +28,7 @@ from spinprec import (
     spin_coefficients,
     trajectory_exact,
 )
+from spinprec import cli
 from spinprec.cli import main
 
 KIN = make_kinematics(0.6, 0.7)
@@ -99,12 +98,16 @@ def test_every_grid_entry_refuses_a_grid_that_is_not_1d(entry, grid):
         GRID_ENTRIES[entry](grid)
 
 
-def test_cli_prints_a_warning_as_one_line(capsys):
+def test_cli_prints_a_warning_as_one_line(capsys, monkeypatch):
+    def warns(cfg):
+        make_coupling(0.05, 1)
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "scales", (warns, "a command that warns"))
     shown = warnings.showwarning
     with warnings.catch_warnings():
         warnings.simplefilter("always")
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["compare", "--coupling-s", "0.05", "--format", "table"])
+        code = main(["scales"])
     assert code == 0
     assert capsys.readouterr().err == (
         "warning: coupling s=0.05 exceeds 0.01; level energies are first order in s\n"

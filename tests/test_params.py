@@ -51,13 +51,14 @@ def test_flag_and_config_resolve_alike(param, command, tmp_path):
 
 
 #: every key a subcommand does not offer, with a value valid where it is offered;
-#: the last row is a sweep that once ran at the default beta, ignoring the file's
+#: then a sweep that once ran at the default beta, ignoring the file's, and
+#: coupling_s, which no subcommand offers since no output reads the coupling
 UNOFFERED = [
-    (param, command, _values(param, param.commands[0])[0])
+    (param.name, command, _values(param, param.commands[0])[0])
     for param in PARAMS
     for command in cli._COMMANDS
     if command not in param.commands
-] + [(cli._BY_NAME["beta"], "sweep", "0.9")]
+] + [("beta", "sweep", "0.9")] + [("coupling_s", command, "0.25") for command in cli._COMMANDS]
 #: what each subcommand needs to run when its file is accepted
 RUNNABLE = {
     "sweep": ["--sweep", "alpha=30:30:1", "--periods", "2", "--samples-per-period", "16"],
@@ -66,16 +67,16 @@ RUNNABLE = {
 
 
 @pytest.mark.parametrize(
-    "param,command,value",
+    "key,command,value",
     UNOFFERED,
-    ids=[f"{command}-{param.name}={value}" for param, command, value in UNOFFERED],
+    ids=[f"{command}-{key}={value}" for key, command, value in UNOFFERED],
 )
-def test_config_file_refuses_unoffered_key(param, command, value, tmp_path, capsys):
+def test_config_file_refuses_unoffered_key(key, command, value, tmp_path, capsys):
     conf = tmp_path / "run.conf"
-    conf.write_text(f"{param.name} = {value}\n")
+    conf.write_text(f"{key} = {value}\n")
     assert main([command, "--config", str(conf), *RUNNABLE.get(command, [])]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: {conf}:1: {command} does not take {param.name}\n", err
+    reason = f"{command} does not take {key}" if key in cli._BY_NAME else f"unknown key {key!r}"
+    assert capsys.readouterr().err == f"config error: {conf}:1: {reason}\n"
 
 
 @pytest.mark.parametrize(
@@ -114,6 +115,7 @@ def test_config_file_format_checked_per_command(tmp_path, capsys):
         ["sweep", "--sweep", "beta=0:0.5:2", "--alpha-deg", "30"],
         ["precess", "--physical"],
         ["bmt", "--physical"],
+        ["compare", "--coupling-s", "0.002"],
     ],
 )
 def test_removed_flags_exit_2(argv, capsys):
@@ -138,7 +140,7 @@ INVENTORY = {
     "bmt": "--alpha-deg --beta --config --epsilon --field --format --help --method --mu"
     " --orientation --output --periods --phi-n-deg --samples-per-period"
     " --steps-per-period --theta-n-deg",
-    "compare": "--alpha-deg --beta --config --coupling-s --epsilon --format --help"
+    "compare": "--alpha-deg --beta --config --epsilon --format --help"
     " --orientation --output --periods --phi-n-deg --samples-per-period --theta-n-deg"
     " --tol-deviation --tol-frequency --tol-invariant",
     "sweep": "--config --epsilon --help --orientation --output --periods --phi-n-deg"

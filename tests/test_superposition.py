@@ -263,8 +263,8 @@ def test_engine_matches_spinor_oracle(beta, alpha, epsilon, axis):
 
 
 def test_oracle_small_coupling_phase_stability():
-    # the common phase gamma*t/(2s) is huge at small s; factoring it out
-    # keeps the branch interference accurate
+    # the common phase gamma*t/(2s) would be huge at small s; the spinor path
+    # leaves it out, as it cancels in every sandwich, so the interference stays accurate
     kin = make_kinematics(0.9, 1.1)
     sup = initial_amplitudes_closed("y", 1, kin)
     coup = FieldCoupling(1e-3, 1)
@@ -272,13 +272,6 @@ def test_oracle_small_coupling_phase_stability():
     a = evolve_expectations(sup, kin, coup, t)
     b = evolve_expectations_spinor(sup, kin, coup, t)
     assert np.abs(a.pi_x - b.pi_x).max() < 1e-12
-
-
-def test_oracle_requires_positive_coupling():
-    kin = make_kinematics(0.5, 0.5)
-    sup = initial_amplitudes_closed("y", 1, kin)
-    with pytest.raises(ValueError):
-        evolve_expectations_spinor(sup, kin, FieldCoupling(0.0, 1), [0.0, 1.0])
 
 
 def test_longitudinal_motion_closed_form():
