@@ -20,6 +20,7 @@ which turns |pi|^2/gamma^2 + beta_pi^2 = |s|^2 into an identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,13 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class PrecessionVector:
-    """Constant precession vector of the rest-frame spin (units 2|mu|H/hbar)."""
+    """Constant precession vector of the rest-frame spin (units 2|mu|H/hbar); |Omega| >= 1/gamma."""
 
     omega_vec: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.magnitude < math.inf:
+            raise ValueError(f"omega_vec must be finite and nonzero, got {self.omega_vec}")
 
     @property
     def magnitude(self) -> float:
@@ -100,15 +105,12 @@ def trajectory_exact(
     """Rotate ``s0`` about Omega by |Omega| t at each grid time; map to lab polarization.
 
     ``s0`` must be a unit 3-vector and ``t_grid`` nonempty, finite and strictly ascending.
-    With precession, ``s`` and ``pi`` are component-major: each row of ``s.T`` and
-    ``pi.T`` is contiguous.
+    ``s`` and ``pi`` are component-major: each row of ``s.T`` and ``pi.T`` is
+    contiguous.
     """
     s0 = check_unit(s0, "s0")
     t = check_time_grid(t_grid)
     w = omega.magnitude
-    if w == 0.0:
-        s = np.tile(s0, (t.size, 1))
-        return PrecessionTrajectory(t, s, *map_rest_to_pi(s, kin))
     # Rodrigues: s(t) = along + (s0 - along) cos(wt) + (axis x s0) sin(wt).  The boost
     # is linear, so pi and beta_pi are the same sinusoid of the three boosted vectors.
     axis = omega.omega_vec / w
@@ -185,23 +187,21 @@ def integrate(
     s0 = check_unit(s0, "s0")
     t = check_time_grid(t_grid)
     check_steps_per_period(steps_per_period)
-    w = omega.magnitude
+    dts = np.diff(t)
+    substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / omega.magnitude / steps_per_period)))
+    total = float(substeps.sum())
+    if total > MAX_RK4_SUBSTEPS:
+        raise ValueError(
+            f"{total:.3g} rk4 substeps exceed the {MAX_RK4_SUBSTEPS:.0e}-substep guard"
+        )
+    # row j is e_j x Omega: cross @ s = Omega x s
+    cross = np.array([_cross(e, omega.omega_vec.tolist()) for e in np.eye(3).tolist()])
     s = np.tile(s0, (t.size, 1))
-    if w > 0.0:
-        dts = np.diff(t)
-        substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
-        total = float(substeps.sum())
-        if total > MAX_RK4_SUBSTEPS:
-            raise ValueError(
-                f"{total:.3g} rk4 substeps exceed the {MAX_RK4_SUBSTEPS:.0e}-substep guard"
-            )
-        # row j is e_j x Omega: cross @ s = Omega x s
-        cross = np.array([_cross(e, omega.omega_vec.tolist()) for e in np.eye(3).tolist()])
-        for lo in range(0, dts.size, _BLOCK):
-            hi = lo + _BLOCK  # s[lo], the last state of the block before, carries over
-            # substeps is a function of dt alone, so intervals of equal dt share one map
-            u, first, which = np.unique(dts[lo:hi], return_index=True, return_inverse=True)
-            maps = _interval_maps(cross, u, substeps[lo:hi][first])
-            s[lo + 1 : hi + 1] = _chain(maps[which], s[lo])
+    for lo in range(0, dts.size, _BLOCK):
+        hi = lo + _BLOCK  # s[lo], the last state of the block before, carries over
+        # substeps is a function of dt alone, so intervals of equal dt share one map
+        u, first, which = np.unique(dts[lo:hi], return_index=True, return_inverse=True)
+        maps = _interval_maps(cross, u, substeps[lo:hi][first])
+        s[lo + 1 : hi + 1] = _chain(maps[which], s[lo])
     pi, beta_pi = map_rest_to_pi(s, kin)
     return PrecessionTrajectory(t, s, pi, beta_pi)

@@ -354,14 +354,14 @@ def cmd_precess(cfg: dict) -> int:
 
 
 def cmd_bmt(cfg: dict) -> int:
-    """Classical comparator series seeded from the matching quantum state."""
+    """Classical comparator series seeded from the spin axis of the matching quantum state."""
     kin, sup = _point(cfg)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     scale = _time_scale(cfg)
     # checked for either method: a value given and never read is still bad input
     check_steps_per_period(cfg["steps_per_period"])
-    # same initial polarization as cmd_precess, so the pi columns line up
-    s0 = seed_classical(evolve_expectations(sup, kin, _COUPLING, t[:1]), kin)
+    # the rest-frame spin of the state cmd_precess evolves, so the pi columns line up
+    s0 = seed_classical(sup.axis, sup.epsilon, kin)
     omega = omega_vector(kin)
     if cfg["method"] == "rk4":
         traj = integrate(s0, omega, t, kin, cfg["steps_per_period"])

@@ -17,8 +17,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bmt import PrecessionTrajectory, omega_vector, trajectory_exact, map_pi_to_rest
-from .kinematics import TWO_PI, FieldCoupling, Kinematics, check_time_grid, precession_frequency
+from .bmt import PrecessionTrajectory, omega_vector, trajectory_exact
+from .kinematics import (
+    TWO_PI, FieldCoupling, Kinematics, check_sign, check_time_grid, check_unit, precession_frequency
+)
 from .superposition import PolarizationHistory, SpinSuperposition, evolve_expectations
 
 #: relative amplitude below which a series counts as constant (no oscillation)
@@ -174,11 +176,20 @@ def period_grid(
     return np.linspace(0.0, periods * TWO_PI / precession_frequency(kin), n + 1)
 
 
-def seed_classical(history: PolarizationHistory, kin: Kinematics) -> np.ndarray:
-    """Unit rest-frame spin matching the polarization of a history's first sample."""
-    pi0 = np.array([history.pi_x[0], history.pi_y[0], history.pi_z[0]])
-    s0 = map_pi_to_rest(pi0, kin)
-    return s0 / np.linalg.norm(s0)
+def seed_classical(n, epsilon: int, kin: Kinematics) -> np.ndarray:
+    """Rest-frame spin of the epsilon eigenstate of Pi . n, from the axis alone.
+
+    s0 = epsilon * unit(n + (gamma - 1) * bhat x (n x bhat)), with bhat the
+    motion axis: n with its part across bhat stretched by gamma.  With
+    d = n_z sin(alpha) - n_x cos(alpha), exactly 0 on bhat, the double cross
+    is (-d cos(alpha), n_y, d sin(alpha)).
+    """
+    check_sign("epsilon", epsilon)
+    nx, ny, nz = check_unit(n, "n").tolist()
+    sin, cos = math.sin(kin.alpha), math.cos(kin.alpha)
+    d = (kin.gamma - 1.0) * (nz * sin - nx * cos)
+    s = (nx - d * cos, kin.gamma * ny, nz + d * sin)
+    return np.array(s) * (epsilon / math.hypot(*s))
 
 
 def run_comparison(
@@ -191,12 +202,13 @@ def run_comparison(
 ) -> tuple[ComparisonReport, PolarizationHistory, PrecessionTrajectory]:
     """Full pipeline: evolve both sides on one grid and compare them.
 
-    The classical side starts from the rest-frame image of the quantum
-    t = 0 polarization and follows the exact rotation.
+    The classical side starts from :func:`seed_classical` on the axis and
+    sign of ``sup``, not from its amplitudes, and follows the exact rotation.
     """
     t = period_grid(kin, periods, samples_per_period)
     quantum = evolve_expectations(sup, kin, coupling, t)
-    classical = trajectory_exact(seed_classical(quantum, kin), omega_vector(kin), t, kin)
+    s0 = seed_classical(sup.axis, sup.epsilon, kin)
+    classical = trajectory_exact(s0, omega_vector(kin), t, kin)
     report = compare(quantum, classical, tolerances, frequency_formula=precession_frequency(kin))
     return report, quantum, classical
 

@@ -81,20 +81,19 @@ def spin_coefficients(zeta: int, kin: Kinematics) -> np.ndarray:
         c3 = +(zeta/2) a_plus  (u_plus - zeta u_minus)
         c4 = +(1/2)    a_minus (u_plus + zeta u_minus)
 
-    with u_pm = sqrt(1 +/- beta_z) and a_pm = sqrt((1 +/- zeta/q)/2).
+    with u_pm = sqrt(1 +/- beta_z) and a_pm = sqrt((1 +/- zeta/q)/2), the smaller
+    a_pm taking the sign of gamma*beta_perp.
     """
     check_sign("zeta", zeta)
     q = kin.q
     up = math.sqrt(1.0 + kin.beta_z)
     um = math.sqrt(1.0 - kin.beta_z)
-    # q - 1 = (gamma*beta_perp)^2/(q + 1): keeps a_minus accurate as q -> 1
+    # q - 1 = (gamma*beta_perp)^2/(q + 1): keeps a_minus accurate as q -> 1; the
+    # small coefficient carries the sign of gamma*beta_perp, which x*x drops
     x = kin.gamma * kin.beta_perp
-    half_plus = (q + 1.0) / (2.0 * q)
-    half_minus = x * x / (2.0 * q * (q + 1.0))
-    if zeta > 0:
-        ap, am = math.sqrt(half_plus), math.sqrt(half_minus)
-    else:
-        ap, am = math.sqrt(half_minus), math.sqrt(half_plus)
+    large = math.sqrt((q + 1.0) / (2.0 * q))
+    small = math.copysign(math.sqrt(x * x / (2.0 * q * (q + 1.0))), x)
+    ap, am = (large, small) if zeta > 0 else (small, large)
     return np.array(
         [
             0.5 * zeta * ap * (up + zeta * um),

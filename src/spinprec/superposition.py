@@ -67,36 +67,17 @@ class PolarizationHistory:
 def initial_amplitudes_closed(
     axis: str, epsilon: int, kin: Kinematics
 ) -> SpinSuperposition:
-    """Closed-form amplitudes for initial spin along the X, Y or Z axis.
+    """:func:`initial_amplitudes_general` on the X, Y or Z row of :data:`AXES`.
 
-    Y:  amp_plus = epsilon/sqrt(2), amp_minus = -i/sqrt(2), eigenvalue
-        epsilon*gamma.
-    X:  with w = gamma*beta^2*sin(alpha)*cos(alpha) and x = epsilon*w/
-        sqrt(1+w^2): amp_plus = -(epsilon/sqrt(2))*sqrt(1-x), amp_minus =
-        sqrt(1+x)/sqrt(2), eigenvalue epsilon*sqrt(1+gamma^2*beta^2*
-        cos^2(alpha)).
-    Z:  the state is a single branch, epsilon playing the role of zeta;
-        eigenvalue epsilon*q.
+    Up to a global phase, Y gives (epsilon, -i)/sqrt(2) at eigenvalue
+    epsilon*gamma; Z the single branch zeta = epsilon at epsilon*q; and X,
+    with x = epsilon*w/sqrt(1 + w^2) and w = gamma*beta^2*sin(alpha)*cos(alpha),
+    (-epsilon*sqrt(1 - x), sqrt(1 + x))/sqrt(2) at epsilon*sqrt(1 + (gamma*beta_z)^2).
     """
-    check_sign("epsilon", epsilon)
     key = axis.lower()
     if key not in ("x", "y", "z"):
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    n = AXES["xyz".index(key)]
-    if key == "y":
-        a = complex(epsilon / math.sqrt(2.0))
-        b = -1j / math.sqrt(2.0)
-        lam = epsilon * kin.gamma
-    elif key == "x":
-        w = kin.gamma * kin.beta_perp * kin.beta_z
-        x = epsilon * w / math.hypot(1.0, w)
-        a = complex(-(epsilon / math.sqrt(2.0)) * math.sqrt(1.0 - x))
-        b = complex(math.sqrt(1.0 + x) / math.sqrt(2.0))
-        lam = epsilon * math.hypot(1.0, kin.gamma * kin.beta_z)
-    else:
-        a, b = (1.0 + 0j, 0j) if epsilon > 0 else (0j, 1.0 + 0j)
-        lam = epsilon * kin.q
-    return SpinSuperposition(a, b, lam, epsilon, n)
+    return initial_amplitudes_general(AXES["xyz".index(key)], epsilon, kin)
 
 
 def doublet_matrix(n, kin: Kinematics) -> np.ndarray:
@@ -113,25 +94,32 @@ def initial_amplitudes_general(
 ) -> SpinSuperposition:
     """Amplitudes for initial spin along an arbitrary unit axis ``n``.
 
-    Solves the doublet eigenproblem of the projected spin operator and
-    returns the epsilon-sign eigenbranch, phase-fixed so the first nonzero
-    amplitude is real positive.  Reproduces the closed forms for the
-    coordinate axes up to a global phase.
+    The doublet of Pi . n is [[a, conj(b)], [b, -a]], with a = n . diag_+ and
+    b = n . cross_+ of :func:`closed_form_matrix_elements` written as
+
+        a = (n_z + (gamma*beta)^2 sin(alpha) (n_z sin(alpha) - n_x cos(alpha)))/q
+        b = -n_x*gamma/q - i*n_y*gamma
+
+    so that the bracket is exactly 0 on the motion axis.  Its eigenvalues are
+    -lam, +lam with lam = sqrt(a^2 + |b|^2) in [1, gamma].  Of the eigenvectors
+    (L + a, b) and (conj(b), L - a) of L = epsilon*lam, the one whose large
+    entry is lam + |a| in modulus is normalised and phase-fixed so that the
+    first nonzero amplitude is real positive.
     """
     check_sign("epsilon", epsilon)
     n = check_unit(n, "n")
-    # the doublet matrix is [[a, conj(b)], [b, -a]] with a^2 + |b|^2 = n.G.n, where
-    # G_kl = tr(D_k D_l)/2 over the doublet matrices D_k of Pi_k has eigenvalues 1,
-    # gamma^2, gamma^2: the eigenvalues are -lam, +lam with 1 <= lam <= gamma, never equal
-    vals, vecs = np.linalg.eigh(doublet_matrix(n, kin))
-    idx = int(np.argmax(epsilon * vals))
-    v = vecs[:, idx]
-    # a unit 2-vector has a component of modulus >= 1/sqrt(2): if v[0] fails the test, v[1] passes
-    phase = v[0] if abs(v[0]) > _PHASE_TOL else v[1]
-    v = v * (phase.conjugate() / abs(phase))
-    return SpinSuperposition(
-        complex(v[0]), complex(v[1]), float(vals[idx]), epsilon, n
-    )
+    nx, ny, nz = n.tolist()
+    sin, cos = math.sin(kin.alpha), math.cos(kin.alpha)
+    a = (nz + (kin.gamma * kin.beta) ** 2 * sin * (nz * sin - nx * cos)) / kin.q
+    b = complex(-nx * kin.gamma / kin.q, -ny * kin.gamma)
+    eig = epsilon * math.hypot(a, b.real, b.imag)
+    v0, v1 = (eig + a, b) if epsilon * a >= 0.0 else (b.conjugate(), eig - a)
+    norm = math.hypot(v0.real, v0.imag, v1.real, v1.imag)
+    v0, v1 = v0 / norm, v1 / norm
+    # a unit 2-vector has a component of modulus >= 1/sqrt(2): if v0 fails the test, v1 passes
+    phase = v0 if abs(v0) > _PHASE_TOL else v1
+    rot = phase.conjugate() / abs(phase)
+    return SpinSuperposition(complex(v0 * rot), complex(v1 * rot), eig, epsilon, n)
 
 
 def evolve_expectations(

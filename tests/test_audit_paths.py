@@ -7,13 +7,14 @@ roundoff scaled by gamma (the components of Pi grow like gamma), and give
 the same bits for any coupling.  ``integrate`` applies RK4's one-substep
 3x3 map, raised to each interval's substep count and chained by recursive
 pairing; it must agree with the per-substep loop, kept here, to roundoff
-that grows with the number of substeps, and equal it bit for bit without
-precession.  The pairing chain must agree with the plain loop of one
-matvec per map to roundoff that grows with the number of maps.
+that grows with the number of substeps.  The pairing chain must agree with
+the plain loop of one matvec per map to roundoff that grows with the
+number of maps.
 ``integrate`` builds each distinct interval length's map once; it must
 equal the build of one map per interval, kept here and chained by the
 same pairing, bit for bit.  Both paths must also stay independent of the
-closed path they audit.
+closed path they audit, and the CLI's paths must not call the spinor
+machinery that only the audits use.
 The closed path ``evolve_expectations`` computes its three components
 row by row in real arithmetic; it must equal the one-expression-per-component
 formula, kept here, bit for bit.  The boost ``map_rest_to_pi`` must equal
@@ -26,6 +27,7 @@ boost, also kept here, to roundoff scaled by gamma.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from spinprec import (
     spin_coefficients,
     trajectory_exact,
 )
+from spinprec.cli import main
 from spinprec.compare import seed_classical
 from spinprec.kinematics import TWO_PI
 
@@ -69,7 +72,8 @@ SPINOR_TOL = 1e-14
 RK4_ROUNDOFF = 2.0
 
 gammas = st.floats(min_value=1.0001, max_value=1e4)
-alphas = st.floats(min_value=0.0, max_value=math.pi)
+#: the whole circle and beyond, as --alpha-deg accepts any finite angle
+alphas = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi)
 signs = st.sampled_from([-1, 1])
 
 
@@ -231,19 +235,15 @@ def reference_rk4_segment(s, omega_vec, dt, steps):
 def reference_integrate(s0, omega, t, kin, steps_per_period):
     """The driver loop that assigned one NumPy row per interval."""
     s0 = np.asarray(s0, dtype=float)
-    w = omega.magnitude
     s = np.empty((t.size, 3))
     s[0] = s0
-    if w > 0.0:
-        dts = np.diff(t)
-        substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / w / steps_per_period)))
-        wv = tuple(float(c) for c in omega.omega_vec)
-        cur = (float(s0[0]), float(s0[1]), float(s0[2]))
-        for i, (dt, steps) in enumerate(zip(dts.tolist(), substeps.tolist()), start=1):
-            cur = reference_rk4_segment(cur, wv, dt, int(steps))
-            s[i] = cur
-    else:
-        s[1:] = s0
+    dts = np.diff(t)
+    substeps = np.maximum(1.0, np.ceil(dts / (TWO_PI / omega.magnitude / steps_per_period)))
+    wv = tuple(float(c) for c in omega.omega_vec)
+    cur = (float(s0[0]), float(s0[1]), float(s0[2]))
+    for i, (dt, steps) in enumerate(zip(dts.tolist(), substeps.tolist()), start=1):
+        cur = reference_rk4_segment(cur, wv, dt, int(steps))
+        s[i] = cur
     pi, beta_pi = map_rest_to_pi(s, kin)
     return s, pi, beta_pi
 
@@ -281,12 +281,6 @@ def assert_same_bits(got, ref, names=("s", "pi", "beta_pi")):
         a, b = np.asarray(a), np.asarray(b)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
-
-
-def assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period):
-    traj = integrate(s0, omega, t, kin, steps_per_period)
-    ref = reference_integrate(s0, omega, t, kin, steps_per_period)
-    assert_same_bits((traj.s, traj.pi, traj.beta_pi), ref)
 
 
 def assert_integrate_matches_loop(s0, omega, t, kin, steps_per_period):
@@ -389,13 +383,6 @@ def test_chain_matches_loop(n):
         assert np.all(np.abs(got - s).max(axis=1) <= np.arange(1, n + 1) * np.finfo(float).eps)
 
 
-@pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [0.0, 0.5, 3.0, 3.1]], ids=str)
-def test_integrate_bit_exact_without_precession(t):
-    kin = kinematics(2.0, 0.3)
-    s0 = spin_axis(0.4, 2.2)
-    assert_integrate_bit_exact(s0, PrecessionVector(np.zeros(3)), np.array(t), kin, 400)
-
-
 def reference_map_rest_to_pi(s, kin):
     """The boost as one broadcast of the (..., 1) projections against the (3,) axis."""
     s = np.asarray(s, dtype=float)
@@ -408,9 +395,6 @@ def reference_map_rest_to_pi(s, kin):
 def reference_trajectory_exact(s0, omega, t, kin):
     """The reference boost of Rodrigues' three vectors, each summed as (N, 1) x (3,) broadcasts."""
     w = omega.magnitude
-    if w == 0.0:
-        s = np.tile(s0, (t.size, 1))
-        return (s, *reference_map_rest_to_pi(s, kin))
     axis = omega.omega_vec / w
     along = axis * (axis @ s0)
     vecs = np.array([along, s0 - along, np.cross(axis, s0)])
@@ -445,22 +429,20 @@ def assert_exact_rotation_matches_references(s0, omega, t, kin):
     got = (traj.s, traj.pi, traj.beta_pi)
     assert traj.t.tobytes() == t.tobytes()
     assert_same_bits(got, reference_trajectory_exact(s0, omega, t, kin))
-    if omega.magnitude > 0.0:
-        bound = ROTATION_ROUNDOFF * np.finfo(float).eps * kin.gamma
-        for name, a, b in zip(("s", "pi", "beta_pi"), got, reference_rotation_then_boost(s0, omega, t, kin)):
-            assert np.abs(a - b).max() <= bound, name
+    bound = ROTATION_ROUNDOFF * np.finfo(float).eps * kin.gamma
+    for name, a, b in zip(("s", "pi", "beta_pi"), got, reference_rotation_then_boost(s0, omega, t, kin)):
+        assert np.abs(a - b).max() <= bound, name
 
 
 exact_gammas = st.floats(min_value=1.0001, max_value=1e3)
-#: the five orientations seed s0 from the quantum state at t = 0; "random" draws it
+#: the five orientations seed s0 from their spin axis, as the CLI does; "random" draws it
 seeds = st.sampled_from(ORIENTATIONS + ("random",))
 
 
 def rotation_start(seed, kin, s0, theta, phi):
     if seed == "random":
         return s0
-    sup = superposition(seed, 1, kin, theta, phi)
-    return seed_classical(evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), [0.0]), kin)
+    return seed_classical(superposition(seed, 1, kin, theta, phi).axis, 1, kin)
 
 
 @settings(max_examples=150, deadline=None)
@@ -501,10 +483,13 @@ def test_exact_rotation_bit_exact_on_nonuniform_grids(seed, gamma, alpha, s0, t0
     assert_exact_rotation_matches_references(s0, omega_vector(kin), t, kin)
 
 
-@pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [-2.0, 0.5, 3.0, 3.1]], ids=str)
-def test_exact_rotation_bit_exact_without_precession(t):
-    kin = kinematics(2.0, 0.3)
-    assert_exact_rotation_matches_references(spin_axis(0.4, 2.2), PrecessionVector(np.zeros(3)), np.array(t), kin)
+@pytest.mark.parametrize(
+    "omega_vec", [[0.0, 0.0, 0.0], [0.0, math.nan, 1.0], [math.inf, 0.0, 0.0]], ids=["zero", "nan", "inf"]
+)
+def test_precession_vector_refuses_zero_and_nonfinite(omega_vec):
+    # no Kinematics gives one (|Omega| >= 1/gamma), so neither rotation has a zero-vector path
+    with pytest.raises(ValueError, match="omega_vec must be finite and nonzero"):
+        PrecessionVector(np.array(omega_vec))
 
 
 spin_components = st.floats(min_value=-1e3, max_value=1e3)
@@ -538,6 +523,36 @@ def test_spinor_path_needs_no_closed_path(monkeypatch):
     monkeypatch.setattr(spinprec.superposition, "evolve_expectations", _forbidden)
     hist = evolve_expectations_spinor(sup, kin, FieldCoupling(1e-3, 1), t)
     assert hist.pi_x.tobytes() == expected.pi_x.tobytes()
+
+
+#: what only eigenstate, the spinor audit and the tests may call
+AUDIT_ONLY = ("doublet_matrix", "spin_coefficients", "pi_component_matrix")
+
+
+def _audit_only(*args, **kwargs):
+    raise AssertionError("a production path called audit-only code")
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_cli_paths_need_no_spinor_machinery(orientation, monkeypatch, capsys):
+    # the initial state and the classical seed are closed forms of the axis
+    for name, module in list(sys.modules.items()):
+        if name == "spinprec" or name.startswith("spinprec."):
+            for attr in AUDIT_ONLY:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, _audit_only)
+    monkeypatch.setattr(np.linalg, "eigh", _audit_only)
+    flags = ["--orientation", orientation, "--theta-n-deg", "40", "--phi-n-deg", "110",
+             "--periods", "1", "--samples-per-period", "16"]
+    for argv in (
+        ["precess", "--alpha-deg", "200"],
+        ["bmt", "--alpha-deg", "-45"],
+        ["bmt", "--alpha-deg", "30", "--method", "rk4"],
+        ["compare", "--beta", "0.9", "--alpha-deg", "315"],
+        ["sweep", "--sweep", "beta=0.1:0.95:2,alpha=-90:200:3"],
+    ):
+        assert main(argv + flags) == 0, argv
+    capsys.readouterr()
 
 
 def test_rk4_path_needs_no_exact_rotation(monkeypatch):

@@ -22,8 +22,10 @@ from spinprec import (
 )
 from spinprec.bmt import MAX_RK4_SUBSTEPS
 
+#: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
 betas = st.floats(min_value=0.0, max_value=0.99)
-alphas = st.floats(min_value=0.0, max_value=math.pi)
+#: the whole circle and beyond, as --alpha-deg accepts any finite angle
+alphas = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi)
 
 COUP = FieldCoupling(1e-3, 1)
 
@@ -179,6 +181,7 @@ def test_map_longitudinal_spin():
 @given(
     betas,
     alphas,
+    # theta over [0, pi] and phi over [0, 2 pi] reach every unit vector
     st.floats(min_value=0.0, max_value=math.pi),
     st.floats(min_value=0.0, max_value=2 * math.pi),
 )

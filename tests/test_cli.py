@@ -49,6 +49,15 @@ def test_eigenstate_moving(capsys):
     assert "verdict: pass" in out
 
 
+@pytest.mark.parametrize("zeta", ["1", "-1"])
+@pytest.mark.parametrize("alpha_deg", ["-45", "200", "315"])
+def test_eigenstate_passes_where_sin_alpha_is_negative(capsys, alpha_deg, zeta):
+    # the small spin coefficient keeps the sign of gamma*beta_perp
+    code, out, _ = run(capsys, "eigenstate", "--alpha-deg", alpha_deg, "--zeta", zeta)
+    assert code == 0
+    assert "verdict: pass" in out
+
+
 HIGH_GAMMA = ("eigenstate", "--beta", "0.999999999", "--alpha-deg", "45")
 
 

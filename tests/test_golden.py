@@ -68,6 +68,8 @@ CASES = {
     ],
     "eigenstate_defaults": ["eigenstate"],
     "eigenstate_luminal": ["eigenstate", "--beta", "1.0"],
+    # sin(alpha) < 0: the small spin coefficient keeps the sign of gamma*beta_perp
+    "eigenstate_alpha_200": ["eigenstate", "--alpha-deg", "200"],
     # precess: every orientation, both formats, both signs, physical time
     **{
         f"precess_{o}_csv": ["precess", "--beta", "0.77", "--alpha-deg", "33", *_orient(o), *SMALL]
@@ -152,6 +154,7 @@ CASES = {
     ],
     "compare_fractional_periods": ["compare", "--periods", "1.3", "--samples-per-period", "64"],
     "compare_negative_periods": ["compare", "--periods", "-1"],
+    "compare_momentum_alpha_200": ["compare", "--alpha-deg", "200", "--orientation", "momentum", *SMALL],
     # sweep: every orientation
     **{
         f"sweep_{o}": [

@@ -30,6 +30,7 @@ from spinprec import (
 )
 from spinprec import cli
 from spinprec.cli import main
+from spinprec.compare import seed_classical
 
 KIN = make_kinematics(0.6, 0.7)
 OMEGA = omega_vector(KIN)
@@ -41,6 +42,7 @@ VECTOR_ENTRIES = {
     "pi_component_matrix": lambda v: pi_component_matrix(v, KIN),
     "doublet_matrix": lambda v: doublet_matrix(v, KIN),
     "initial_amplitudes_general": lambda v: initial_amplitudes_general(v, 1, KIN),
+    "seed_classical": lambda v: seed_classical(v, 1, KIN),
     "trajectory_exact": lambda v: trajectory_exact(v, OMEGA, [0.0, 1.0], KIN),
     "integrate": lambda v: integrate(v, OMEGA, [0.0, 1.0], KIN),
 }
@@ -55,6 +57,7 @@ SIGN_ENTRIES = {
     "closed_form_matrix_elements": lambda z: closed_form_matrix_elements(KIN, z),
     "initial_amplitudes_closed": lambda e: initial_amplitudes_closed("x", e, KIN),
     "initial_amplitudes_general": lambda e: initial_amplitudes_general(E_Y, e, KIN),
+    "seed_classical": lambda e: seed_classical(E_Y, e, KIN),
     "make_coupling": lambda z: make_coupling(1e-3, z),
 }
 

@@ -17,8 +17,10 @@ from spinprec import (
 )
 from spinprec.kinematics import check_time_grid
 
+#: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
 betas = st.floats(min_value=0.0, max_value=0.99)
-alphas = st.floats(min_value=0.0, max_value=math.pi)
+#: the whole circle and beyond, as --alpha-deg accepts any finite angle
+alphas = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi)
 
 
 def test_reference_point():

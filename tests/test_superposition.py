@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spinprec import (
     FieldCoupling,
+    SpinSuperposition,
     doublet_matrix,
     evolve_expectations,
     evolve_expectations_spinor,
@@ -18,8 +19,10 @@ from spinprec import (
     spin_axis,
 )
 
+#: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
 betas = st.floats(min_value=0.0, max_value=0.99)
-alphas = st.floats(min_value=0.0, max_value=math.pi)
+#: the whole circle and beyond, as --alpha-deg accepts any finite angle
+alphas = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi)
 signs = st.sampled_from([-1, 1])
 
 COUP = FieldCoupling(1e-3, 1)
@@ -41,10 +44,11 @@ def test_closed_y():
 
 
 def test_closed_x_frozen():
+    # the paper's amplitudes times the global phase -1 that makes amp_plus real positive
     kin = make_kinematics(0.6, math.pi / 4)
     plus = initial_amplitudes_closed("x", 1, kin)
-    assert plus.amp_plus == pytest.approx(-0.6246950475544242621, abs=1e-15)
-    assert plus.amp_minus == pytest.approx(0.78086880944303032762, abs=1e-15)
+    assert plus.amp_plus == pytest.approx(0.6246950475544242621, abs=1e-15)
+    assert plus.amp_minus == pytest.approx(-0.78086880944303032762, abs=1e-15)
     assert plus.eigenvalue == pytest.approx(1.1319231422671770783, abs=1e-15)
     minus = initial_amplitudes_closed("x", -1, kin)
     assert minus.amp_plus == pytest.approx(0.78086880944303032762, abs=1e-15)
@@ -55,8 +59,8 @@ def test_closed_x_frozen():
 def test_closed_x_rest_frame():
     kin = make_kinematics(0.0, 0.7)
     sup = initial_amplitudes_closed("x", 1, kin)
-    assert sup.amp_plus == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
-    assert sup.amp_minus == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert sup.amp_plus == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+    assert sup.amp_minus == pytest.approx(-1 / math.sqrt(2), abs=1e-15)
     assert sup.eigenvalue == pytest.approx(1.0, abs=1e-15)
 
 
@@ -91,14 +95,30 @@ def test_closed_normalized_and_eigen(beta, alpha, epsilon, axis):
     assert np.linalg.norm(m2 @ v - sup.eigenvalue * v) < 1e-10
 
 
+def paper_closed_form(axis, epsilon, kin):
+    """The paper's X, Y and Z states as (amp_plus, amp_minus, eigenvalue)."""
+    r2 = math.sqrt(2.0)
+    if axis == "y":
+        return epsilon / r2, -1j / r2, epsilon * kin.gamma
+    if axis == "x":
+        w = kin.gamma * kin.beta**2 * math.sin(kin.alpha) * math.cos(kin.alpha)
+        x = epsilon * w / math.sqrt(1.0 + w * w)
+        lam = math.sqrt(1.0 + (kin.gamma * kin.beta * math.cos(kin.alpha)) ** 2)
+        return -(epsilon / r2) * math.sqrt(1.0 - x), math.sqrt(1.0 + x) / r2, epsilon * lam
+    return (1.0, 0.0, kin.q) if epsilon > 0 else (0.0, 1.0, -kin.q)
+
+
 @settings(deadline=None, max_examples=100)
 @given(betas, alphas, signs, st.sampled_from(["x", "y", "z"]))
 def test_general_reproduces_closed(beta, alpha, epsilon, axis):
     kin = make_kinematics(beta, alpha)
+    amp_plus, amp_minus, eigenvalue = paper_closed_form(axis, epsilon, kin)
+    paper = SpinSuperposition(complex(amp_plus), complex(amp_minus), eigenvalue, epsilon, None)
     closed = initial_amplitudes_closed(axis, epsilon, kin)
     general = initial_amplitudes_general(closed.axis, epsilon, kin)
-    assert general.eigenvalue == pytest.approx(closed.eigenvalue, abs=1e-12)
-    assert overlap(closed, general) == pytest.approx(1.0, abs=1e-12)
+    for sup in (closed, general):
+        assert sup.eigenvalue == pytest.approx(eigenvalue, abs=1e-12)
+        assert overlap(paper, sup) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_general_y_phase_difference():
@@ -164,6 +184,37 @@ def test_doublet_eigenvalues_lie_in_one_to_gamma(beta, alpha, epsilon, axis):
     assert 1.0 - 1e-12 <= hi <= kin.gamma * (1.0 + 1e-12)
     lam = epsilon * initial_amplitudes_general(n, epsilon, kin).eigenvalue
     assert 1.0 - 1e-12 <= lam <= kin.gamma * (1.0 + 1e-12)
+
+
+#: c in |doublet @ v - eigenvalue v| <= c eps gamma; 20,000 draws of beta up to
+#: 1 - 1e-14, alpha on the whole circle and every kind of axis gave at most 4.8
+EIGEN_ROUNDOFF = 16.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    beta=st.floats(min_value=0.0, max_value=1.0 - 1e-14),
+    alpha=alphas,
+    epsilon=signs,
+    axis=doublet_axes,
+)
+@example(beta=1.0 - 1e-14, alpha=-math.pi / 6, epsilon=-1, axis="momentum")
+@example(beta=1.0 - 1e-14, alpha=3.5, epsilon=1, axis=SIGNED_AXES[0])
+def test_amplitudes_solve_the_doublet_to_eps_gamma(beta, alpha, epsilon, axis):
+    # the closed eigenvector against the brute-force doublet it shares no code with
+    kin = make_kinematics(beta, alpha)
+    n = motion_axis(kin) if isinstance(axis, str) else axis
+    sup = initial_amplitudes_general(n, epsilon, kin)
+    eps = np.finfo(float).eps
+    v = np.array([sup.amp_plus, sup.amp_minus])
+    assert abs(np.linalg.norm(v) - 1.0) <= 4.0 * eps
+    residual = np.linalg.norm(doublet_matrix(n, kin) @ v - sup.eigenvalue * v)
+    assert residual <= EIGEN_ROUNDOFF * eps * kin.gamma
+    if isinstance(axis, str):
+        # the momentum state: eigenvalue epsilon, and helicity epsilon*beta at t = 0
+        assert abs(sup.eigenvalue - epsilon) <= 4.0 * eps
+        beta_pi0 = evolve_expectations(sup, kin, COUP, [0.0]).beta_pi[0]
+        assert abs(beta_pi0 - epsilon * beta) <= 4.0 * eps * kin.gamma
 
 
 def test_grid_validation():
@@ -235,6 +286,7 @@ def test_periodicity(beta, alpha, epsilon, axis):
     betas,
     alphas,
     signs,
+    # theta over [0, pi] and phi over [0, 2 pi] reach every unit axis
     st.floats(min_value=0.0, max_value=math.pi),
     st.floats(min_value=0.0, max_value=2 * math.pi),
 )
@@ -248,6 +300,11 @@ def test_invariant_is_one(beta, alpha, epsilon, theta_n, phi_n):
 
 @settings(deadline=None, max_examples=40)
 @given(betas, alphas, signs, st.sampled_from(["x", "y", "z", "m"]))
+# sin(alpha) < 0, where the small spin coefficient must keep the sign of gamma*beta_perp
+@example(0.6, math.radians(200.0), 1, "x")
+@example(0.6, math.radians(200.0), -1, "m")
+@example(0.6, math.radians(-45.0), -1, "y")
+@example(0.6, math.radians(-45.0), 1, "m")
 def test_engine_matches_spinor_oracle(beta, alpha, epsilon, axis):
     kin = make_kinematics(beta, alpha)
     if axis == "m":
