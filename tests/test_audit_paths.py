@@ -7,8 +7,9 @@ roundoff scaled by gamma (the components of Pi grow like gamma), and give
 the same bits for any coupling.  ``integrate`` applies RK4's one-substep
 3x3 map, raised to each interval's substep count and chained by recursive
 pairing; it must agree with the per-substep loop, kept here, to roundoff
-that grows with the number of substeps.  The pairing chain must agree with
-the plain loop of one matvec per map to roundoff that grows with the
+that grows with the number of substeps, and equal it bit for bit for a
+spin along Omega, which does not precess.  The pairing chain must agree
+with the plain loop of one matvec per map to roundoff that grows with the
 number of maps.
 ``integrate`` builds each distinct interval length's map once; it must
 equal the build of one map per interval, kept here and chained by the
@@ -283,6 +284,13 @@ def assert_same_bits(got, ref, names=("s", "pi", "beta_pi")):
         assert a.tobytes() == b.tobytes(), name
 
 
+def assert_integrate_bit_exact(s0, omega, t, kin, steps_per_period):
+    traj = integrate(s0, omega, t, kin, steps_per_period)
+    ref = reference_integrate(s0, omega, t, kin, steps_per_period)
+    assert_same_bits((traj.s, traj.pi, traj.beta_pi), ref)
+    return traj
+
+
 def assert_integrate_matches_loop(s0, omega, t, kin, steps_per_period):
     """Within RK4_ROUNDOFF K eps of the loop, K counting the substeps up to each sample,
     and bit for bit the build of one map per interval."""
@@ -383,6 +391,21 @@ def test_chain_matches_loop(n):
         assert np.all(np.abs(got - s).max(axis=1) <= np.arange(1, n + 1) * np.finfo(float).eps)
 
 
+def without_precession():
+    """Motion along the field and the spin on Z: Omega is on Z, so Omega x s0 is exactly 0."""
+    kin = kinematics(2.0, 0.0)
+    omega = omega_vector(kin)
+    assert omega.omega_vec[0] == omega.omega_vec[1] == 0.0
+    return kin, omega, np.array([0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [0.0, 0.5, 3.0, 3.1]], ids=str)
+def test_integrate_bit_exact_without_precession(t):
+    kin, omega, s0 = without_precession()
+    traj = assert_integrate_bit_exact(s0, omega, np.array(t), kin, 400)
+    assert np.all(traj.s == s0)
+
+
 def reference_map_rest_to_pi(s, kin):
     """The boost as one broadcast of the (..., 1) projections against the (3,) axis."""
     s = np.asarray(s, dtype=float)
@@ -481,6 +504,13 @@ def test_exact_rotation_bit_exact_on_nonuniform_grids(seed, gamma, alpha, s0, t0
     t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
     assume(np.all(np.diff(t) > 0))
     assert_exact_rotation_matches_references(s0, omega_vector(kin), t, kin)
+
+
+@pytest.mark.parametrize("t", [[0.0], [0.0, 1.0], [-2.0, 0.5, 3.0, 3.1]], ids=str)
+def test_exact_rotation_bit_exact_without_precession(t):
+    kin, omega, s0 = without_precession()
+    assert_exact_rotation_matches_references(s0, omega, np.array(t), kin)
+    assert np.all(trajectory_exact(s0, omega, np.array(t), kin).s == s0)
 
 
 @pytest.mark.parametrize(
