@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import TWO_PI, Kinematics, check_time_grid, check_unit, motion_axis
+from .kinematics import TWO_PI, Kinematics, _sin_cos, check_time_grid, check_unit, motion_axis
 
 #: floor demanded of the cross-check integrator
 MIN_STEPS_PER_PERIOD = 200
@@ -119,9 +119,7 @@ def trajectory_exact(
     pi_vecs, beta_pi_vecs = map_rest_to_pi(vecs, kin)
     # coefs[r] = (c0, c1, c2) of output row r: s x3, pi x3, beta_pi
     coefs = np.concatenate([vecs.T, pi_vecs.T, beta_pi_vecs[None]]).tolist()
-    c = w * t
-    si = np.sin(c)
-    np.cos(c, out=c)
+    si, c = _sin_cos(w, t)
     rows = np.empty((7, t.size))
     term = np.empty(t.size)
     for row, (c0, c1, c2) in zip(rows, coefs):

@@ -54,6 +54,7 @@ from .spinors import (
     spin_axis,
     spin_coefficients,
 )
+# initial_amplitudes_closed has no caller here, but perfbench's tracer wraps it in this module
 from .superposition import (
     evolve_expectations,
     initial_amplitudes_closed,
@@ -179,18 +180,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _point(cfg: dict):
-    """Kinematics and initial superposition that ``cfg`` describes."""
-    kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
+def _axis(cfg: dict, kin) -> np.ndarray:
+    """The spin axis that ``--orientation`` selects: an AXES row, the motion axis or the custom one."""
     # built for every orientation, so a bad angle is refused even when unread
     custom = spin_axis(math.radians(cfg["theta_n_deg"]), math.radians(cfg["phi_n_deg"]))
     orientation = cfg["orientation"]
     if orientation in ("x", "y", "z"):
-        sup = initial_amplitudes_closed(orientation, cfg["epsilon"], kin)
-    else:
-        n = motion_axis(kin) if orientation == "momentum" else custom
-        sup = initial_amplitudes_general(n, cfg["epsilon"], kin)
-    return kin, sup
+        return AXES["xyz".index(orientation)]
+    return motion_axis(kin) if orientation == "momentum" else custom
+
+
+def _point(cfg: dict):
+    """Kinematics and initial superposition that ``cfg`` describes."""
+    kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
+    return kin, initial_amplitudes_general(_axis(cfg, kin), cfg["epsilon"], kin)
 
 
 def _time_scale(cfg: dict) -> float:
@@ -355,13 +358,14 @@ def cmd_precess(cfg: dict) -> int:
 
 def cmd_bmt(cfg: dict) -> int:
     """Classical comparator series seeded from the spin axis of the matching quantum state."""
-    kin, sup = _point(cfg)
+    kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
+    n = _axis(cfg, kin)
     t = period_grid(kin, cfg["periods"], cfg["samples_per_period"])
     scale = _time_scale(cfg)
     # checked for either method: a value given and never read is still bad input
     check_steps_per_period(cfg["steps_per_period"])
     # the rest-frame spin of the state cmd_precess evolves, so the pi columns line up
-    s0 = seed_classical(sup.axis, sup.epsilon, kin)
+    s0 = seed_classical(n, cfg["epsilon"], kin)
     omega = omega_vector(kin)
     if cfg["method"] == "rk4":
         traj = integrate(s0, omega, t, kin, cfg["steps_per_period"])

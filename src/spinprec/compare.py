@@ -32,6 +32,8 @@ DEFAULT_SAMPLES_PER_PERIOD = 1024
 MIN_SAMPLES_PER_PERIOD = 16
 #: largest grid :func:`period_grid` builds, so a typo cannot exhaust memory
 MAX_SAMPLES = 10**7
+#: fewest samples :func:`extract_frequency` fits, so the fewest a comparison runs on
+MIN_FIT_SAMPLES = 4
 
 _COMPONENTS = ("pi_x", "pi_y", "pi_z", "beta_pi")
 
@@ -77,8 +79,11 @@ def extract_frequency(t, series) -> float | None:
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
-    if t.shape != y.shape or t.ndim != 1 or t.size < 4:
-        raise ValueError(f"t and series must be 1-d arrays of one length >= 4, got {t.shape} and {y.shape}")
+    if t.shape != y.shape or t.ndim != 1 or t.size < MIN_FIT_SAMPLES:
+        raise ValueError(
+            f"t and series must be 1-d arrays of one length >= {MIN_FIT_SAMPLES}, "
+            f"got {t.shape} and {y.shape}"
+        )
     check_time_grid(t)
     dt = (t[-1] - t[0]) / (t.size - 1)
     # linspace puts each sample within half an ulp of the largest |t|, an
@@ -204,8 +209,14 @@ def run_comparison(
 
     The classical side starts from :func:`seed_classical` on the axis and
     sign of ``sup``, not from its amplitudes, and follows the exact rotation.
+    Raises ValueError unless the grid holds :data:`MIN_FIT_SAMPLES` samples.
     """
     t = period_grid(kin, periods, samples_per_period)
+    if t.size < MIN_FIT_SAMPLES:
+        raise ValueError(
+            f"{periods:g} periods x {samples_per_period} samples-per-period gives a "
+            f"{t.size}-sample grid; a comparison needs at least {MIN_FIT_SAMPLES}"
+        )
     quantum = evolve_expectations(sup, kin, coupling, t)
     s0 = seed_classical(sup.axis, sup.epsilon, kin)
     classical = trajectory_exact(s0, omega_vector(kin), t, kin)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (
-    FieldCoupling, Kinematics, check_sign, check_time_grid, check_unit, precession_frequency
+    FieldCoupling, Kinematics, _sin_cos, check_sign, check_time_grid, check_unit,
+    precession_frequency,
 )
 from .spinors import (
     AXES,
@@ -147,9 +148,7 @@ def evolve_expectations(
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
     diag = wp * me_p.diag.real + wm * me_m.diag.real
-    cos = omega * t  # the phase, then its cosine in the same buffer
-    sin = np.sin(cos)
-    np.cos(cos, out=cos)
+    sin, cos = _sin_cos(omega, t)
     # row k is cos(omega t) Re g_k - sin(omega t) Im g_k + diag_k with g_k = 2 conj(A) B cross_k,
     # in real arithmetic: numpy's complex multiply fuses multiply-adds on some CPUs only
     pi = np.empty((3, t.size))

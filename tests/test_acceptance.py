@@ -55,7 +55,7 @@ def eigen_audit():
     rng = np.random.default_rng(20240817)
     n = 10_000
     beta = rng.uniform(0.0, 0.99, n)
-    alpha = rng.uniform(0.0, math.pi, n)
+    alpha = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, n)
     zeta = rng.choice([-1, 1], n)
     worst = {"residual": 0.0, "norm": 0.0, "overlap": 0.0, "element": 0.0}
     for b, a, z in zip(beta, alpha, zeta):
@@ -105,7 +105,7 @@ def test_criterion_03_doublet_eigenvalues():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(1000):
-        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(0.0, math.pi))
+        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(-4.0 * math.pi, 4.0 * math.pi))
         g, b, q = kin.gamma, kin.beta, kin.q
         expected = {
             "x": math.sqrt(1.0 + (g * b * math.cos(kin.alpha)) ** 2),
@@ -177,7 +177,7 @@ def test_criterion_06_invariant():
             runs.append((kin, initial_amplitudes_closed(axis, 1, kin)))
         runs.append((kin, initial_amplitudes_general(motion_axis(kin), 1, kin)))
     for _ in range(100):
-        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(0.0, math.pi))
+        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(-4.0 * math.pi, 4.0 * math.pi))
         n = spin_axis(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2 * math.pi))
         eps = int(rng.choice([-1, 1]))
         runs.append((kin, initial_amplitudes_general(n, eps, kin)))
@@ -207,7 +207,7 @@ def test_criterion_07_frequency():
     rng = np.random.default_rng(13)
     worst_mag = 0.0
     for _ in range(10_000):
-        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(0.0, math.pi))
+        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(-4.0 * math.pi, 4.0 * math.pi))
         formula = precession_frequency(kin)
         worst_mag = max(worst_mag, abs(omega_vector(kin).magnitude - formula))
     ok = worst_rel < 1e-6 and worst_mag < 1e-12
@@ -261,7 +261,7 @@ def test_criterion_09_longitudinal_polarization():
     worst = 0.0
     worst_t0 = 0.0
     for _ in range(50):
-        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(0.0, math.pi))
+        kin = make_kinematics(rng.uniform(0.0, 0.99), rng.uniform(-4.0 * math.pi, 4.0 * math.pi))
         omega = precession_frequency(kin)
         t = period_grid(kin, 3, 300)
         g, b = kin.gamma, kin.beta

@@ -18,8 +18,12 @@ closed path they audit, and the CLI's paths must not call the spinor
 machinery that only the audits use.
 The closed path ``evolve_expectations`` computes its three components
 row by row in real arithmetic; it must equal the one-expression-per-component
-formula, kept here, bit for bit.  The boost ``map_rest_to_pi`` must equal
-the ``(N, 1) x (3,)`` broadcast, kept here, bit for bit.  The exact rotation
+formula, kept here, bit for bit.  Both it and the exact rotation take
+sin(w t) and cos(w t) by angle addition over blocks of a long uniform grid;
+that evaluation is restated here block by block, and the formulas on libm's
+sin(w t) and cos(w t) stay as roundoff references.  The boost
+``map_rest_to_pi`` must equal the ``(N, 1) x (3,)`` broadcast, kept here,
+bit for bit.  The exact rotation
 ``trajectory_exact`` boosts the three vectors of Rodrigues' formula once and
 sums each output row from them; it must equal the same sum as broadcasts,
 kept here, bit for bit, and the rotation of every sample followed by its
@@ -29,6 +33,7 @@ boost, also kept here, to roundoff scaled by gamma.
 import cmath
 import math
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import spinprec.bmt
+import spinprec.kinematics
 import spinprec.superposition
 from spinprec import (
     FieldCoupling,
@@ -60,8 +66,8 @@ from spinprec import (
     trajectory_exact,
 )
 from spinprec.cli import main
-from spinprec.compare import seed_classical
-from spinprec.kinematics import TWO_PI
+from spinprec.compare import Tolerances, seed_classical
+from spinprec.kinematics import SINCOS_MIN_SAMPLES, TWO_PI
 
 ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
 #: set from float64 roundoff before the vectorized path was written
@@ -160,7 +166,50 @@ def test_spinor_path_reads_no_coupling(orientation):
         assert all(other == first for other in rest), name
 
 
-def reference_closed(sup, kin, t):
+#: c in |angle addition - libm| <= c eps max(1, |w t|), |w t| the largest on the grid;
+#: tests/test_kinematics.py holds the helper to the same c and says where it comes from
+SINCOS_ROUNDOFF = 4.0
+
+
+def libm_sin_cos(w, t):
+    return np.sin(w * t), np.cos(w * t)
+
+
+def adds_angles(t):
+    """Whether the grid is long enough and its own linspace."""
+    return t.size >= SINCOS_MIN_SAMPLES and np.array_equal(t, np.linspace(t[0], t[-1], t.size))
+
+
+def reference_sin_cos(w, t):
+    """sin(w t) and cos(w t) as the closed path and the exact rotation take them.
+
+    Where ``adds_angles(t)``, the grid is cut into blocks of ceil(sqrt(n))
+    samples; each block holds the angle sums of its start w t[k m] and of the
+    offsets (w h) j.  Any other grid is libm's.
+    """
+    if not adds_angles(t):
+        return libm_sin_cos(w, t)
+    n = t.size
+    m = math.ceil(math.sqrt(n))
+    offsets = (w * ((t[-1] - t[0]) / (n - 1))) * np.arange(m)
+    sin_a, cos_a = np.sin(offsets), np.cos(offsets)
+    starts = w * t[::m]
+    sin_b, cos_b = np.sin(starts), np.cos(starts)
+    sin, cos = np.empty(n), np.empty(n)
+    for k in range(starts.size):
+        block = slice(k * m, min(k * m + m, n))
+        j = block.stop - block.start
+        sin[block] = sin_b[k] * cos_a[:j] + cos_b[k] * sin_a[:j]
+        cos[block] = cos_b[k] * cos_a[:j] - sin_b[k] * sin_a[:j]
+    return sin, cos
+
+
+def phase_scale(w, t):
+    """max(1, |w t|) over the grid, the scale of SINCOS_ROUNDOFF."""
+    return max(1.0, abs(w * t[0]), abs(w * t[-1]))
+
+
+def reference_closed(sup, kin, t, sin_cos=reference_sin_cos):
     """One expression per component, on the scalar matrix elements.
 
     2 Re[conj(A) B e^{i w t} cross_k] is cos(w t) Re g_k - sin(w t) Im g_k
@@ -174,14 +223,21 @@ def reference_closed(sup, kin, t):
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
     g_x, g_y, g_z = (2.0 * cw * complex(c) for c in m.cross)
-    wt = precession_frequency(kin) * t
-    cos, sin = np.cos(wt), np.sin(wt)
+    sin, cos = sin_cos(precession_frequency(kin), t)
     pi_x = cos * g_x.real - sin * g_x.imag + (wp * diag_x.real + wm * mdiag_x.real)
     pi_y = cos * g_y.real - sin * g_y.imag + (wp * diag_y.real + wm * mdiag_y.real)
     pi_z = cos * g_z.real - sin * g_z.imag + (wp * diag_z.real + wm * mdiag_z.real)
     beta_pi = kin.beta_perp * pi_x + kin.beta_z * pi_z
     invariant = (pi_x**2 + pi_y**2 + pi_z**2) / kin.gamma**2 + beta_pi**2
     return pi_x, pi_y, pi_z, beta_pi, invariant
+
+
+#: c in |closed path - the formula on libm's sinusoids| <= c eps gamma max(1, |w t|).
+#: Each component is c0 + c1 cos - c2 sin with |c1| + |c2| <= sqrt(2) gamma, so the
+#: sinusoids' SINCOS_ROUNDOFF moves it by at most 5.7 eps gamma max(1, |w t|), and
+#: beta_pi by sqrt(2) times that; the invariant does not depend on the phase.  1,500
+#: draws of grids that add angles gave at most 1.8 on all five outputs.
+CLOSED_SINCOS_ROUNDOFF = 16.0
 
 
 @pytest.mark.parametrize("epsilon", [1, -1])
@@ -191,7 +247,7 @@ def reference_closed(sup, kin, t):
     gamma=gammas,
     alpha=alphas,
     periods=st.floats(min_value=0.1, max_value=20.0),
-    samples=st.integers(1, 2000),
+    samples=st.integers(1, 4000),
     theta=alphas,
     phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
 )
@@ -205,6 +261,11 @@ def test_closed_path_bit_exact(orientation, epsilon, gamma, alpha, periods, samp
                           reference_closed(sup, kin, t)):
         assert a.dtype == b.dtype and a.shape == b.shape == t.shape, name
         assert a.tobytes() == b.tobytes(), name
+    eps = np.finfo(float).eps
+    bound = CLOSED_SINCOS_ROUNDOFF * eps * kin.gamma * phase_scale(precession_frequency(kin), t)
+    for name, a, b in zip(("pi_x", "pi_y", "pi_z", "beta_pi", "invariant"), got,
+                          reference_closed(sup, kin, t, libm_sin_cos)):
+        assert np.abs(a - b).max() <= bound, name
 
 
 def reference_rk4_segment(s, omega_vec, dt, steps):
@@ -415,15 +476,14 @@ def reference_map_rest_to_pi(s, kin):
     return pi, kin.beta * proj
 
 
-def reference_trajectory_exact(s0, omega, t, kin):
+def reference_trajectory_exact(s0, omega, t, kin, sin_cos=reference_sin_cos):
     """The reference boost of Rodrigues' three vectors, each summed as (N, 1) x (3,) broadcasts."""
     w = omega.magnitude
     axis = omega.omega_vec / w
     along = axis * (axis @ s0)
     vecs = np.array([along, s0 - along, np.cross(axis, s0)])
     pi_vecs, beta_pi_vecs = reference_map_rest_to_pi(vecs, kin)
-    theta = w * t
-    c, si = np.cos(theta), np.sin(theta)
+    si, c = sin_cos(w, t)
     s = vecs[0] + vecs[1] * c[:, None] + vecs[2] * si[:, None]
     pi = pi_vecs[0] + pi_vecs[1] * c[:, None] + pi_vecs[2] * si[:, None]
     return s, pi, beta_pi_vecs[0] + beta_pi_vecs[1] * c + beta_pi_vecs[2] * si
@@ -438,23 +498,32 @@ def reference_rotation_then_boost(s0, omega, t, kin):
     return (s, *reference_map_rest_to_pi(s, kin))
 
 
-#: c in |trajectory_exact - rotation then boost| <= c eps gamma.  Both sum terms of size
-#: at most 2 with a few roundings each, and the boost scales them by gamma; its
-#: cancellation along the motion leaves either side about eps gamma off.  2,000 draws
-#: of the two grid tests below gave at most 2.9 eps gamma.
+#: c in |trajectory_exact - rotation then boost| <= c eps gamma on libm's sinusoids.
+#: Both sum terms of size at most 2 with a few roundings each, and the boost scales
+#: them by gamma; its cancellation along the motion leaves either side about eps gamma
+#: off.  2,000 draws of the two grid tests below gave at most 2.9 eps gamma.  Angle
+#: addition adds 2 SINCOS_ROUNDOFF eps gamma max(1, |w t|): each output row is
+#: c0 + c1 cos + c2 sin with |c1| + |c2| <= 2 gamma.
 ROTATION_ROUNDOFF = 8.0
 
 
 def assert_exact_rotation_matches_references(s0, omega, t, kin):
-    """Bit for bit the coefficient sum, and within ROTATION_ROUNDOFF eps gamma of the
-    rotation of every sample followed by its boost."""
+    """Bit for bit the coefficient sum, and within the stated roundoff of that sum on
+    libm's sinusoids and of the rotation of every sample followed by its boost."""
     traj = trajectory_exact(s0, omega, t, kin)
     got = (traj.s, traj.pi, traj.beta_pi)
     assert traj.t.tobytes() == t.tobytes()
     assert_same_bits(got, reference_trajectory_exact(s0, omega, t, kin))
-    bound = ROTATION_ROUNDOFF * np.finfo(float).eps * kin.gamma
-    for name, a, b in zip(("s", "pi", "beta_pi"), got, reference_rotation_then_boost(s0, omega, t, kin)):
-        assert np.abs(a - b).max() <= bound, name
+    c = ROTATION_ROUNDOFF
+    if adds_angles(t):
+        c += 2.0 * SINCOS_ROUNDOFF * phase_scale(omega.magnitude, t)
+    bound = c * np.finfo(float).eps * kin.gamma
+    for reference in (
+        reference_trajectory_exact(s0, omega, t, kin, libm_sin_cos),
+        reference_rotation_then_boost(s0, omega, t, kin),
+    ):
+        for name, a, b in zip(("s", "pi", "beta_pi"), got, reference):
+            assert np.abs(a - b).max() <= bound, name
 
 
 exact_gammas = st.floats(min_value=1.0001, max_value=1e3)
@@ -583,6 +652,36 @@ def test_cli_paths_need_no_spinor_machinery(orientation, monkeypatch, capsys):
     ):
         assert main(argv + flags) == 0, argv
     capsys.readouterr()
+
+
+def test_audit_paths_catch_a_phase_fault_in_the_grid_sinusoids(monkeypatch):
+    kin = kinematics(5.0, 1.1)
+    sup = superposition("custom", 1, kin)
+    t = period_grid(kin, 10.0, 1024)  # long enough to add angles
+    s0 = seed_classical(sup.axis, 1, kin)
+    omega = omega_vector(kin)
+    spinor = evolve_expectations_spinor(sup, kin, FieldCoupling(1e-3, 1), t)
+    rk4 = integrate(s0, omega, t, kin)
+    tol = Tolerances().deviation
+    closed = evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), t)
+    assert max(np.abs(closed.pi_x - spinor.pi_x).max(), np.abs(closed.pi_y - spinor.pi_y).max()) <= tol
+    assert np.abs(trajectory_exact(s0, omega, t, kin).s - rk4.s).max() <= tol
+
+    def shifted(w, t):
+        phase = w * t + 1e-6
+        return np.sin(phase), np.cos(phase)
+
+    for module in (spinprec.kinematics, spinprec.superposition, spinprec.bmt):
+        monkeypatch.setattr(module, "_sin_cos", shifted)
+    assert_same_bits(
+        astuple(evolve_expectations_spinor(sup, kin, FieldCoupling(1e-3, 1), t)), astuple(spinor),
+        ("t", "pi_x", "pi_y", "pi_z", "beta_pi", "invariant"),
+    )
+    assert_same_bits(astuple(integrate(s0, omega, t, kin)), astuple(rk4), ("t", "s", "pi", "beta_pi"))
+    # each now fails the repository's deviation tolerance against its audit
+    closed = evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), t)
+    assert max(np.abs(closed.pi_x - spinor.pi_x).max(), np.abs(closed.pi_y - spinor.pi_y).max()) > tol
+    assert np.abs(trajectory_exact(s0, omega, t, kin).s - rk4.s).max() > tol
 
 
 def test_rk4_path_needs_no_exact_rotation(monkeypatch):

@@ -226,6 +226,39 @@ def test_bmt_matches_precess_columns(capsys):
     assert np.abs(q[:, 1:5] - c[:, 4:8]).max() < 1e-10
 
 
+def _amplitudes_built(*args, **kwargs):
+    raise AssertionError("bmt built quantum amplitudes")
+
+
+def test_bmt_seeds_from_the_axis_without_quantum_amplitudes(monkeypatch, capsys):
+    common = ["--beta", "0.75", "--alpha-deg", "200", "--theta-n-deg", "40", "--phi-n-deg", "110",
+              "--periods", "1", "--samples-per-period", "16", "--epsilon", "-1"]
+    orientations = ("x", "y", "z", "momentum", "custom")
+    expected = [run(capsys, "bmt", *common, "--orientation", o) for o in orientations]
+    for name in ("initial_amplitudes_closed", "initial_amplitudes_general"):
+        monkeypatch.setattr(cli, name, _amplitudes_built)
+    for o, before in zip(orientations, expected):
+        assert run(capsys, "bmt", *common, "--orientation", o) == before, o
+    assert {code for code, _, _ in expected} == {0}
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+@pytest.mark.parametrize(("periods", "samples"), [("0.05", 2), ("0.1", 3)])
+def test_comparison_grid_under_four_samples_names_the_flags(command, periods, samples, capsys):
+    argv = [command, "--periods", periods, "--samples-per-period", "16"]
+    code, out, err = run(capsys, *argv, *(["--sweep", "beta=0.1:0.5:2"] if command == "sweep" else []))
+    assert (code, out) == (2, "")
+    assert err == (
+        f"config error: {periods} periods x 16 samples-per-period gives a {samples}-sample grid; "
+        "a comparison needs at least 4\n"
+    )
+
+
+def test_comparison_runs_on_four_samples(capsys):
+    code, out, _ = run(capsys, "compare", "--periods", "0.17", "--samples-per-period", "16")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_bmt_rejects_coarse_rk4(capsys):
     code, _, err = run(
         capsys, "bmt", "--beta", "0.6", "--alpha-deg", "45", "--method", "rk4",

@@ -154,6 +154,8 @@ CASES = {
     ],
     "compare_fractional_periods": ["compare", "--periods", "1.3", "--samples-per-period", "64"],
     "compare_negative_periods": ["compare", "--periods", "-1"],
+    # the frequency fit needs four samples; a smaller grid is refused by its flags
+    "compare_three_sample_grid": ["compare", "--periods", "0.1", "--samples-per-period", "16"],
     "compare_momentum_alpha_200": ["compare", "--alpha-deg", "200", "--orientation", "momentum", *SMALL],
     # sweep: every orientation
     **{
