@@ -9,8 +9,6 @@ from .kinematics import (
     FieldCoupling,
     Kinematics,
     SRScales,
-    StrongCouplingWarning,
-    energy_level,
     make_coupling,
     make_kinematics,
     motion_axis,
@@ -64,12 +62,10 @@ __all__ = [
     "PrecessionVector",
     "SRScales",
     "SpinSuperposition",
-    "StrongCouplingWarning",
     "Tolerances",
     "closed_form_matrix_elements",
     "compare",
     "doublet_matrix",
-    "energy_level",
     "evolve_expectations",
     "evolve_expectations_spinor",
     "extract_frequency",

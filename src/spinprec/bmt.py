@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import TWO_PI, Kinematics, _sin_cos, check_time_grid, check_unit, motion_axis
+from .kinematics import TWO_PI, Kinematics, _sinusoids, check_time_grid, check_unit, motion_axis
 
 #: floor demanded of the cross-check integrator
 MIN_STEPS_PER_PERIOD = 200
@@ -119,15 +119,7 @@ def trajectory_exact(
     pi_vecs, beta_pi_vecs = map_rest_to_pi(vecs, kin)
     # coefs[r] = (c0, c1, c2) of output row r: s x3, pi x3, beta_pi
     coefs = np.concatenate([vecs.T, pi_vecs.T, beta_pi_vecs[None]]).tolist()
-    si, c = _sin_cos(w, t)
-    rows = np.empty((7, t.size))
-    term = np.empty(t.size)
-    for row, (c0, c1, c2) in zip(rows, coefs):
-        # (c0 + c1 cos) + c2 sin, each row contiguous and built in place
-        np.multiply(c, c1, out=row)
-        row += c0
-        np.multiply(si, c2, out=term)
-        row += term
+    rows = _sinusoids(coefs, w, t)
     return PrecessionTrajectory(t, rows[:3].T, rows[3:6].T, rows[6])
 
 

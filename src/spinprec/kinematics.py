@@ -1,4 +1,4 @@
-"""Dimensionless kinematic state and spin-level energetics.
+"""Dimensionless kinematic state, precession frequency and grid sinusoids.
 
 Geometry: the magnetic field points along +Z and the particle moves
 uniformly in the XZ plane with velocity beta*(sin(alpha), 0, cos(alpha)),
@@ -6,31 +6,25 @@ in units of c.  Everything downstream is dimensionless: energies in units
 of the rest energy m0*c^2, time in units of hbar/(2*|mu|*H), so a spin
 state precesses through phase omega*t with omega = sqrt(1 -
 beta^2*cos^2(alpha)).  Physical units enter only at the CLI boundary.
-The input rules every layer shares (``check_*``) live here as well.
+The input rules every layer shares (``check_*``) live here as well, and
+so does the one evaluator of a precessing output on a time grid.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-#: coupling strength above which first-order spin splitting is suspect
-COUPLING_WARN_THRESHOLD = 1e-2
 #: largest | |v| - 1 | accepted of a spin axis or a start spin
 UNIT_TOL = 1e-12
 #: fewest samples of a uniform grid whose sinusoids :func:`_sin_cos` builds by angle
 #: addition; below it libm per sample is faster (in-process on a 2-vCPU Xeon, sin and cos
 #: of 1,025 samples took 32 us by libm against 41 us, of 2,049 samples 59 us against 53 us)
 SINCOS_MIN_SAMPLES = 2048
-
-
-class StrongCouplingWarning(UserWarning):
-    """Moment-field coupling too large for the first-order level splitting."""
 
 
 @dataclass(frozen=True)
@@ -87,27 +81,11 @@ def make_kinematics(beta: float, alpha: float) -> Kinematics:
 
 
 def make_coupling(s: float, zeta: int) -> FieldCoupling:
-    """Validate and build a field coupling; warns above :data:`COUPLING_WARN_THRESHOLD`."""
+    """Validate and build a field coupling."""
     if not 0.0 <= s < math.inf:
         raise ValueError(f"coupling strength must be finite and >= 0, got {s}")
     check_sign("zeta", zeta)
-    if s > COUPLING_WARN_THRESHOLD:
-        warnings.warn(
-            f"coupling s={s:g} exceeds {COUPLING_WARN_THRESHOLD:g}; level energies are "
-            "first order in s",
-            StrongCouplingWarning,
-            stacklevel=2,
-        )
     return FieldCoupling(s, zeta)
-
-
-def energy_level(kin: Kinematics, coupling: FieldCoupling) -> float:
-    """Level energy gamma_zeta = gamma + zeta*s*q/gamma, in units m0*c^2.
-
-    First order in the coupling; the pair of levels is symmetric about
-    gamma and their splitting reproduces :func:`precession_frequency`.
-    """
-    return kin.gamma + coupling.zeta * coupling.s * (kin.q / kin.gamma)
 
 
 def precession_frequency(kin: Kinematics) -> float:
@@ -220,3 +198,21 @@ def _sin_cos(w: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(sin_b, sin_a, out=term)
     cos -= term
     return sin.ravel()[:n], cos.ravel()[:n]
+
+
+def _sinusoids(coefs, w: float, t: np.ndarray) -> np.ndarray:
+    """Rows (c0 + c1 cos(w t)) + c2 sin(w t), one per (c0, c1, c2) of ``coefs``.
+
+    Both closed paths give every output in this form, so this is where each is
+    evaluated on ``t``, a grid :func:`check_time_grid` accepted, with the
+    sinusoids of :func:`_sin_cos`.  Each row is contiguous and built in place.
+    """
+    sin, cos = _sin_cos(w, t)
+    rows = np.empty((len(coefs), t.size))
+    term = np.empty(t.size)
+    for row, (c0, c1, c2) in zip(rows, coefs):
+        np.multiply(cos, c1, out=row)
+        row += c0
+        np.multiply(sin, c2, out=term)
+        row += term
+    return rows

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (
-    FieldCoupling, Kinematics, _sin_cos, check_sign, check_time_grid, check_unit,
+    FieldCoupling, Kinematics, _sinusoids, check_sign, check_time_grid, check_unit,
     precession_frequency,
 )
 from .spinors import (
@@ -138,33 +138,25 @@ def evolve_expectations(
 
     with omega the precession frequency; the +i phase sign is the one that
     makes the Y orientation give <Pi_x>_t proportional to -sin(omega t).
+    The helicity beta.Pi = beta_perp Pi_x + beta_z Pi_z is the fourth such
+    row, on its own closed elements <zeta|beta.Pi|zeta> = zeta*beta_z/q and
+    <-zeta|beta.Pi|zeta> = -beta_perp*gamma/q: summed from <Pi_x> and <Pi_z>,
+    which grow like gamma, it would be off by about eps*gamma.
     ``coupling`` is not read: no closed-form output depends on it.
     """
     t = check_time_grid(t_grid)
     me_p = closed_form_matrix_elements(kin, +1)
     me_m = closed_form_matrix_elements(kin, -1)
-    omega = precession_frequency(kin)
     wp = abs(sup.amp_plus) ** 2
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
-    diag = wp * me_p.diag.real + wm * me_m.diag.real
-    sin, cos = _sin_cos(omega, t)
-    # row k is cos(omega t) Re g_k - sin(omega t) Im g_k + diag_k with g_k = 2 conj(A) B cross_k,
-    # in real arithmetic: numpy's complex multiply fuses multiply-adds on some CPUs only
-    pi = np.empty((3, t.size))
-    term = np.empty(t.size)
-    for row, cross, d in zip(pi, me_m.cross.tolist(), diag.tolist()):
-        g = 2.0 * cw * cross
-        np.multiply(cos, g.real, out=row)
-        np.multiply(sin, g.imag, out=term)
-        row -= term
-        row += d
-    pi_x, pi_y, pi_z = pi
-    # beta_pi = beta_perp pi_x + beta_z pi_z and the invariant, each in that order, in place
-    beta_pi = np.multiply(pi_x, kin.beta_perp)
-    np.multiply(pi_z, kin.beta_z, out=term)
-    beta_pi += term
+    diag = [*(wp * me_p.diag.real + wm * me_m.diag.real).tolist(), (wp - wm) * kin.beta_z / kin.q]
+    cross = [*me_m.cross.tolist(), -kin.beta_perp * kin.gamma / kin.q]
+    # row k is diag_k + cos(omega t) Re g_k - sin(omega t) Im g_k with g_k = 2 conj(A) B cross_k
+    coefs = [(d, g.real, -g.imag) for d, g in zip(diag, (2.0 * cw * c for c in cross))]
+    pi_x, pi_y, pi_z, beta_pi = _sinusoids(coefs, precession_frequency(kin), t)
     invariant = np.square(pi_x)
+    term = np.empty(t.size)
     for c in (pi_y, pi_z):
         np.square(c, out=term)
         invariant += term

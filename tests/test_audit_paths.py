@@ -16,9 +16,10 @@ equal the build of one map per interval, kept here and chained by the
 same pairing, bit for bit.  Both paths must also stay independent of the
 closed path they audit, and the CLI's paths must not call the spinor
 machinery that only the audits use.
-The closed path ``evolve_expectations`` computes its three components
-row by row in real arithmetic; it must equal the one-expression-per-component
-formula, kept here, bit for bit.  Both it and the exact rotation take
+The closed path ``evolve_expectations`` computes its three components and
+the helicity, on its own closed elements, row by row in real arithmetic; it
+must equal the one-expression-per-output formula, kept here, bit for bit.
+Both it and the exact rotation take
 sin(w t) and cos(w t) by angle addition over blocks of a long uniform grid;
 that evaluation is restated here block by block, and the formulas on libm's
 sin(w t) and cos(w t) stay as roundoff references.  The boost
@@ -210,10 +211,12 @@ def phase_scale(w, t):
 
 
 def reference_closed(sup, kin, t, sin_cos=reference_sin_cos):
-    """One expression per component, on the scalar matrix elements.
+    """One expression per output, on the scalar matrix elements.
 
     2 Re[conj(A) B e^{i w t} cross_k] is cos(w t) Re g_k - sin(w t) Im g_k
-    with g_k = 2 conj(A) B cross_k, a Python complex scalar.
+    with g_k = 2 conj(A) B cross_k, a Python complex scalar; each output is
+    (diag_k + cos Re g_k) + sin (-Im g_k).  beta.Pi is the fourth such
+    output, on its closed elements: diag zeta beta_z/q, cross -beta_perp gamma/q.
     """
     p = closed_form_matrix_elements(kin, +1)
     m = closed_form_matrix_elements(kin, -1)
@@ -223,11 +226,12 @@ def reference_closed(sup, kin, t, sin_cos=reference_sin_cos):
     wm = abs(sup.amp_minus) ** 2
     cw = sup.amp_plus.conjugate() * sup.amp_minus
     g_x, g_y, g_z = (2.0 * cw * complex(c) for c in m.cross)
+    g_b = 2.0 * cw * (-kin.beta_perp * kin.gamma / kin.q)
     sin, cos = sin_cos(precession_frequency(kin), t)
-    pi_x = cos * g_x.real - sin * g_x.imag + (wp * diag_x.real + wm * mdiag_x.real)
-    pi_y = cos * g_y.real - sin * g_y.imag + (wp * diag_y.real + wm * mdiag_y.real)
-    pi_z = cos * g_z.real - sin * g_z.imag + (wp * diag_z.real + wm * mdiag_z.real)
-    beta_pi = kin.beta_perp * pi_x + kin.beta_z * pi_z
+    pi_x = ((wp * diag_x.real + wm * mdiag_x.real) + cos * g_x.real) + sin * -g_x.imag
+    pi_y = ((wp * diag_y.real + wm * mdiag_y.real) + cos * g_y.real) + sin * -g_y.imag
+    pi_z = ((wp * diag_z.real + wm * mdiag_z.real) + cos * g_z.real) + sin * -g_z.imag
+    beta_pi = ((wp - wm) * kin.beta_z / kin.q + cos * g_b.real) + sin * -g_b.imag
     invariant = (pi_x**2 + pi_y**2 + pi_z**2) / kin.gamma**2 + beta_pi**2
     return pi_x, pi_y, pi_z, beta_pi, invariant
 
@@ -671,8 +675,7 @@ def test_audit_paths_catch_a_phase_fault_in_the_grid_sinusoids(monkeypatch):
         phase = w * t + 1e-6
         return np.sin(phase), np.cos(phase)
 
-    for module in (spinprec.kinematics, spinprec.superposition, spinprec.bmt):
-        monkeypatch.setattr(module, "_sin_cos", shifted)
+    monkeypatch.setattr(spinprec.kinematics, "_sin_cos", shifted)
     assert_same_bits(
         astuple(evolve_expectations_spinor(sup, kin, FieldCoupling(1e-3, 1), t)), astuple(spinor),
         ("t", "pi_x", "pi_y", "pi_z", "beta_pi", "invariant"),

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from spinprec import (
     FieldCoupling,
-    StrongCouplingWarning,
-    energy_level,
     evolve_expectations,
     initial_amplitudes_closed,
     make_coupling,
@@ -71,33 +69,12 @@ def test_coupling_validation():
         make_coupling(1e-3, 2)
 
 
-def test_coupling_warns_when_large():
-    with pytest.warns(StrongCouplingWarning):
-        make_coupling(0.05, 1)
-
-
 def test_coupling_quiet_when_small():
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         make_coupling(1e-3, -1)
-
-
-def test_energy_levels_split_symmetrically():
-    kin = make_kinematics(0.6, math.pi / 4)
-    up = energy_level(kin, FieldCoupling(1e-3, 1))
-    down = energy_level(kin, FieldCoupling(1e-3, -1))
-    assert up > kin.gamma > down
-    assert (up + down) / 2 == pytest.approx(kin.gamma, rel=1e-15)
-    # splitting over 2s is the precession frequency
-    omega = precession_frequency(kin)
-    assert (up - down) / (2 * 1e-3) == pytest.approx(omega, rel=1e-12)
-
-
-def test_energy_level_zero_coupling():
-    kin = make_kinematics(0.3, 1.0)
-    assert energy_level(kin, FieldCoupling(0.0, 1)) == kin.gamma
 
 
 def test_frequency_reference_values():

@@ -360,3 +360,86 @@ def test_longitudinal_y_orientation_starts_at_zero():
     sup = initial_amplitudes_closed("y", 1, kin)
     series = evolve_expectations(sup, kin, COUP, [0.0]).beta_pi
     assert series[0] == pytest.approx(0.0, abs=1e-14)
+
+
+#: up to gamma ~ 7e6, where beta.Pi summed from <Pi_x> and <Pi_z>, which grow like gamma,
+#: was off by about eps gamma, a relative 5e-3 for Z at alpha = 1
+high_betas = st.floats(min_value=0.0, max_value=1.0 - 1e-14)
+
+
+@settings(deadline=None, max_examples=100)
+@given(high_betas, alphas, signs, st.floats(min_value=0.1, max_value=20.0), st.integers(1, 3000))
+@example(1.0 - 1e-12, 1.0, 1, 3.0, 64)  # gamma = 7.1e5
+@example(1.0 - 1e-14, -2.0, -1, 3.0, 2500)  # gamma = 7.1e6, on a grid that adds angles
+def test_z_helicity_is_its_closed_value(beta, alpha, epsilon, periods, samples):
+    # a single branch, so beta.Pi is its diagonal element epsilon*beta_z/q at every time
+    kin = make_kinematics(beta, alpha)
+    t = np.linspace(0.0, periods * 2.0 * math.pi / precession_frequency(kin), samples)
+    hist = evolve_expectations(initial_amplitudes_closed("z", epsilon, kin), kin, COUP, t)
+    # value equality is bit equality but for the sign of a zero, which beta_z = 0 leaves open
+    assert np.all(hist.beta_pi == epsilon * kin.beta_z / kin.q)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    return pytest.importorskip("mpmath")
+
+
+def helicity_50_digits(mp, sup, beta, alpha, t):
+    """beta_perp <Pi_x> + beta_z <Pi_z> at 50 digits, on the closed matrix elements of
+    the float ``beta`` and ``alpha`` and on the float amplitudes of ``sup``."""
+    with mp.workdps(50):
+        b, a = mp.mpf(beta), mp.mpf(alpha)
+        gamma = 1 / mp.sqrt(1 - b * b)
+        bp, bz = b * mp.sin(a), b * mp.cos(a)
+        q = mp.sqrt(1 + (gamma * bp) ** 2)
+        amp_p, amp_m = mp.mpc(sup.amp_plus), mp.mpc(sup.amp_minus)
+        wp, wm = abs(amp_p) ** 2, abs(amp_m) ** 2
+        # <zeta|Pi_x|zeta> = -zeta gamma^2 beta_perp beta_z/q, <-zeta|Pi_x|zeta> = -gamma/q,
+        # <zeta|Pi_z|zeta> = zeta q, <-zeta|Pi_z|zeta> = 0
+        g_x = 2 * mp.conj(amp_p) * amp_m * (-gamma / q)
+        diag_x = (wm - wp) * gamma**2 * bp * bz / q
+        pi_z = (wp - wm) * q
+        return np.array(
+            [float(bp * (diag_x + mp.re(g_x * mp.expj(q / gamma * ti))) + bz * pi_z)
+             for ti in t.tolist()]
+        )
+
+
+#: c in |beta_pi - its 50-digit value| <= c eps max(1, |w t|).  The closed row is
+#: c0 + c1 cos + c2 sin with |c0| <= 1 and |c1| + |c2| <= sqrt(2), each coefficient a few
+#: roundings off; the sinusoids are 4 eps max(1, |w t|) off, and w t a few eps |w t|.
+#: 600 random draws up to gamma = 7e6, about half on grids that add angles, gave at most 1.3.
+HELICITY_ROUNDOFF = 16.0
+#: the 50-digit reference is taken on at most this many samples of each grid
+HELICITY_SAMPLES = 48
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    orientation=st.sampled_from(["x", "y", "z", "momentum", "custom"]),
+    epsilon=signs,
+    beta=high_betas,
+    alpha=alphas,
+    periods=st.floats(min_value=0.1, max_value=20.0),
+    samples=st.integers(1, 3000),
+    theta=alphas,
+    phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+@example("momentum", 1, 1.0 - 1e-12, 1.0, 3.0, 64, 0.0, 0.0)  # gamma = 7.1e5
+@example("custom", -1, 1.0 - 1e-14, 2.5, 3.0, 2500, 0.7, 1.9)  # gamma = 7.1e6, adds angles
+def test_helicity_matches_50_digit_sum(
+    mp, orientation, epsilon, beta, alpha, periods, samples, theta, phi
+):
+    kin = make_kinematics(beta, alpha)
+    if orientation in ("x", "y", "z"):
+        sup = initial_amplitudes_closed(orientation, epsilon, kin)
+    else:
+        n = motion_axis(kin) if orientation == "momentum" else spin_axis(theta, phi)
+        sup = initial_amplitudes_general(n, epsilon, kin)
+    w = precession_frequency(kin)
+    t = np.linspace(0.0, periods * 2.0 * math.pi / w, samples)
+    picks = np.unique(np.linspace(0, samples - 1, HELICITY_SAMPLES).astype(int))
+    got = evolve_expectations(sup, kin, COUP, t).beta_pi[picks]
+    bound = HELICITY_ROUNDOFF * np.finfo(float).eps * max(1.0, w * t[-1])
+    assert np.abs(got - helicity_50_digits(mp, sup, beta, alpha, t[picks])).max() <= bound
