@@ -439,6 +439,7 @@ def test_top_level_help_lists_every_command(capsys):
 
 
 def test_one_parser_per_call(monkeypatch, capsys):
+    """A well-formed call builds no parser; help and each refusal build one."""
     built = []
     init = cli._Parser.__init__
 
@@ -447,8 +448,41 @@ def test_one_parser_per_call(monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    assert main(["scales", "--gamma", "2"]) == 0
-    assert built == ["spinprec scales"]
+    for argv, code, parsers in [
+        (["scales", "--gamma", "2"], 0, []),
+        (["scales", "--gamma=2", "--omega0", "3"], 0, []),
+        (["scales", "--gamma", "2", "-h"], 0, ["spinprec scales"]),
+        (["scales", "--gamma", "2", "--gam", "2"], 2, ["spinprec scales"]),
+        (["scales", "--gamma", "two"], 2, ["spinprec scales"]),
+    ]:
+        built.clear()
+        assert main(argv) == code, argv
+        assert built == parsers, argv
+
+
+#: argparse's refusals, which every call that is not well formed falls back to
+REFUSALS = [
+    (["precess", "--beta", "x"], "argument --beta: invalid float value: 'x'"),
+    (
+        ["precess", "--orientation", "w"],
+        "argument --orientation: invalid choice: 'w'"
+        " (choose from 'x', 'y', 'z', 'momentum', 'custom')",
+    ),
+    (["precess", "--beta"], "argument --beta: expected one argument"),
+    (["precess", "--output", "--beta", "1"], "argument --output: expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS])
+def test_argparse_refusal_bytes(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"spinprec {argv[0]}: error: {message}\n")
+
+
+def test_help_after_valid_flags(capsys):
+    assert main(["precess", "--beta", "0.5", "--alpha-deg=30", "-h"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: spinprec precess [-h]") and err == ""
 
 
 def test_module_entry_point():
