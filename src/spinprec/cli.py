@@ -12,6 +12,8 @@ digits so parsing them back is lossless.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import math
 import re
@@ -141,15 +143,6 @@ def _choices(param: Param, command: str) -> tuple | None:
     return _FORMATS.get(command) if param.name == "format" else param.choices
 
 
-def _value(param: Param, text: str, command: str):
-    """``text`` cast by ``param``; ValueError unless ``command`` allows it."""
-    value = param.cast(text)
-    choices = _choices(param, command)
-    if choices and value not in choices:
-        raise ValueError(f"must be one of {', '.join(map(str, choices))}")
-    return value
-
-
 def _load_config_file(path: str, command: str) -> dict:
     """Parse a key=value config file for ``command``; # starts a comment."""
     values = {}
@@ -166,7 +159,10 @@ def _load_config_file(path: str, command: str) -> dict:
             if param is None:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _value(param, text.strip(), command)
+                values[key] = param.cast(text.strip())
+                choices = _choices(param, command)
+                if choices and values[key] not in choices:
+                    raise ValueError(f"must be one of {', '.join(map(str, choices))}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
             if command not in param.commands:
@@ -520,32 +516,22 @@ _COMMANDS = {
 }
 
 
-#: the flag that names a config file, which no config file may set
-_CONFIG = Param("config", str, None, "key=value config file; flags win over it", tuple(_COMMANDS))
-#: each command's flags as spelled on the command line, in help order
-_FLAGS = {
-    command: {"--" + p.name.replace("_", "-"): p for p in (_CONFIG, *PARAMS) if command in p.commands}
-    for command in _COMMANDS
-}
-#: a token that starts with - and is a value, not a flag: -1e1 and -.5 as
-#: well as the -1 and -1.5 that argparse alone takes for numbers
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line, exit code 2; takes no prefix of a flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+        # -1e1 and -.5 are values too, not only the -1 and -1.5 argparse knows
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Parser of the flags of ``command``, else of the top level, which runs no command."""
-    if command not in _COMMANDS:
+@functools.cache
+def _template(command: str | None) -> _Parser:
+    """The parser of ``command``'s flags, or of the top level; built once per process."""
+    if command is None:
         return _Parser(
             prog="spinprec",
             usage="%(prog)s command [flags]",
@@ -555,55 +541,37 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         )
     parser = _Parser(prog=f"spinprec {command}", description=_COMMANDS[command][1])
     parser.set_defaults(command=command)
-    for flag, param in _FLAGS[command].items():
-        text = param.help if param.default is None else f"{param.help} (default {param.default})"
-        parser.add_argument(flag, type=param.cast, choices=_choices(param, command), help=text)
+    parser.add_argument("--config", help="key=value config file; flags win over it")
+    for param in PARAMS:
+        if command in param.commands:
+            flag = "--" + param.name.replace("_", "-")
+            text = param.help if param.default is None else f"{param.help} (default {param.default})"
+            parser.add_argument(flag, type=param.cast, choices=_choices(param, command), help=text)
     return parser
 
 
-def _parse_flags(command: str, argv: list[str]) -> argparse.Namespace | None:
-    """What ``build_parser(command).parse_args(argv)`` returns, read from ``_FLAGS``.
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Parser of the flags of ``command``, else of the top level, which runs no command.
 
-    Takes only ``--flag value`` and ``--flag=value`` pairs whose value is
-    well formed; for any other argv returns None, and argparse is left to
-    print the help or the refusal.  Building a parser is the largest cost
-    of a tiny call, and a well-formed call needs none.
+    Each call returns its own shallow copy of one parser built per command,
+    because building it costs far more than parsing a tiny call.  A copy's
+    attributes are its own, but its flags and defaults are shared: parse with
+    it or print its help, and add no arguments to it.
     """
-    flags = _FLAGS[command]
-    args = argparse.Namespace(command=command, **dict.fromkeys((p.name for p in flags.values())))
-    tokens = iter(argv)
-    for token in tokens:
-        flag, eq, text = token.partition("=")
-        if not eq:
-            text = next(tokens, "")
-            # argparse takes a token that starts with - for a flag unless it looks
-            # like a negative number or holds a space; the space rule is left to it
-            if " " in text or (text.startswith("-") and not _NEGATIVE_NUMBER.match(text)):
-                return None
-        param = flags.get(flag)
-        # left to argparse: an empty value, and --flag=--, which it reads as an empty list
-        if param is None or text in ("", "--"):
-            return None
-        try:
-            setattr(args, param.name, _value(param, text, command))
-        except ValueError:
-            return None
-    return args
+    return copy.copy(_template(command if command in _COMMANDS else None))
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = None if command is None else _parse_flags(command, argv[1:])
-    if args is None:
-        parser = build_parser(command)
-        try:
-            if command is None:
-                parser.parse_known_args(argv)  # returns unless -h, which prints the help
-                parser.error(f"the first argument must be a command, not {argv[0]!r}" if argv else "no command")
-            args = parser.parse_args(argv[1:])
-        except SystemExit as exc:
-            return int(exc.code or 0)
+    parser = build_parser(command)
+    try:
+        if command is None:
+            parser.parse_known_args(argv)  # returns unless -h, which prints the help
+            parser.error(f"the first argument must be a command, not {argv[0]!r}" if argv else "no command")
+        args = parser.parse_args(argv[1:])
+    except SystemExit as exc:
+        return int(exc.code or 0)
     # one stderr line per warning, without the source line that issued it
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

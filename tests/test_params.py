@@ -2,16 +2,10 @@
 
 Every row of ``spinprec.cli.PARAMS`` is checked on every subcommand that
 offers it: a flag and the same value in a ``--config`` file give the same
-resolved configuration, and the flag wins when both are given.  Flags read
-from the table give argparse's namespace, or are left to argparse.
+resolved configuration, and the flag wins when both are given.
 """
 
-import contextlib
-import io
-
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from spinprec import cli
 from spinprec.cli import PARAMS, main
@@ -185,81 +179,3 @@ def test_negative_value_in_e_notation(spelling, capsys):
     plain = capsys.readouterr().out
     assert main(argv + spelling) == 0
     assert capsys.readouterr().out == plain
-
-
-#: every flag of every command, so that each command also meets flags it lacks
-ALL_FLAGS = sorted({flag for flags in cli._FLAGS.values() for flag in flags})
-#: every value some flag chooses from
-CHOICES = sorted(
-    {str(c) for param in PARAMS for c in param.choices or ()}
-    | {fmt for formats in cli._FORMATS.values() for fmt in formats}
-)
-#: values argparse reads in ways easy to get wrong: e notation and a leading
-#: dot after a minus, a dash word, nothing, the end-of-flags marker, spaces,
-#: NaN and digit groups
-TRAPS = ["-1e1", "-.5", "-x", "", "--", "a b", "-a b", "nan", "1_0"]
-VALUES = st.one_of(st.sampled_from(TRAPS + CHOICES), st.text(max_size=6))
-#: values each cast reads, the traps among them
-CASTS = {
-    float: st.one_of(st.sampled_from(["-1e1", "-.5", "nan", "1_0", "-inf"]), st.floats().map(repr)),
-    int: st.one_of(st.sampled_from(["-1", "1_0", "01"]), st.integers().map(str)),
-    str: st.text(max_size=8),
-}
-
-
-def _valid(param, command):
-    choices = cli._choices(param, command)
-    return st.sampled_from([str(c) for c in choices]) if choices else CASTS[param.cast]
-
-
-def _argv(command):
-    """argv of mostly well-formed pairs, with help, prefixes, foreign flags and bare tokens."""
-    flags = cli._FLAGS[command]
-    own = st.sampled_from(list(flags))
-    good = own.flatmap(lambda f: st.tuples(st.just(f), _valid(flags[f], command)))
-    flag = st.one_of(
-        own,
-        st.sampled_from(["-h", "--help", *ALL_FLAGS]),
-        own.flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k])),
-    )
-    pair = st.one_of(good, good, good, st.tuples(flag, VALUES))
-    piece = st.one_of(
-        pair.map(list),
-        pair.map(lambda fv: [f"{fv[0]}={fv[1]}"]),
-        st.one_of(flag, VALUES).map(lambda token: [token]),
-    )
-    return st.lists(piece, max_size=4).map(lambda parts: [token for part in parts for token in part])
-
-
-def _argparse(command, argv):
-    """vars of argparse's namespace, or None where it prints help or refuses."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return vars(cli.build_parser(command).parse_args(argv))
-        except SystemExit:
-            return None
-
-
-def _same(ours, theirs):
-    """Equal namespaces, with NaN equal to NaN."""
-    return ours.keys() == theirs.keys() and all(
-        ours[k] == theirs[k] or (ours[k] != ours[k] and theirs[k] != theirs[k]) for k in ours
-    )
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.sampled_from(list(cli._COMMANDS)).flatmap(lambda c: st.tuples(st.just(c), _argv(c))))
-@example(("precess", ["--theta-n-deg", "-1e1", "--phi-n-deg=-.5", "--beta", "nan"]))
-def test_parse_flags_agrees_with_argparse(case):
-    command, argv = case
-    ours = cli._parse_flags(command, argv)
-    if ours is not None:
-        theirs = _argparse(command, argv)
-        assert theirs is not None and _same(vars(ours), theirs), (argv, ours, theirs)
-
-
-@pytest.mark.parametrize(
-    "argv", [["--config=--"], ["--output="], ["--beta", "0.5", "--format=json", "-h"]]
-)
-def test_parse_flags_leaves_traps_to_argparse(argv):
-    assert cli._parse_flags("precess", argv) is None
