@@ -143,6 +143,11 @@ def _choices(param: Param, command: str) -> tuple | None:
     return _FORMATS.get(command) if param.name == "format" else param.choices
 
 
+def _no_value(value) -> bool:
+    """True for ``''`` or ``--flag=--``: ``[]`` (past type and choices) to Python 3.12, ``'--'`` on 3.13."""
+    return isinstance(value, list) or value in ("", "--")
+
+
 def _load_config_file(path: str, command: str) -> dict:
     """Parse a key=value config file for ``command``; # starts a comment."""
     values = {}
@@ -160,6 +165,8 @@ def _load_config_file(path: str, command: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 values[key] = param.cast(text.strip())
+                if _no_value(values[key]):
+                    raise ValueError("needs a value")
                 choices = _choices(param, command)
                 if choices and values[key] not in choices:
                     raise ValueError(f"must be one of {', '.join(map(str, choices))}")
@@ -172,6 +179,9 @@ def _load_config_file(path: str, command: str) -> dict:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """Apply precedence flags > config file > defaults."""
+    for name, value in vars(args).items():
+        if _no_value(value):
+            raise ValueError(f"--{name.replace('_', '-')} needs a value")
     cfg = {param.name: param.default for param in PARAMS}
     if args.config:
         cfg.update(_load_config_file(args.config, args.command))
@@ -318,7 +328,7 @@ def cmd_eigenstate(cfg: dict) -> int:
             "beta": kin.beta,
             "alpha_deg": cfg["alpha_deg"],
             "zeta": zeta,
-            "spinor": [float(c.real) for c in psi],
+            "spinor": psi.tolist(),
             "eigenvalue": zeta * kin.q,
             "norm_error": norm_err,
             "residual": residual,
@@ -329,7 +339,7 @@ def cmd_eigenstate(cfg: dict) -> int:
     else:
         lines = [
             f"beta={kin.beta:.17g} alpha={cfg['alpha_deg']:.17g} deg zeta={zeta:+d}",
-            "spinor: " + " ".join(f"{c.real:.17g}" for c in psi),
+            "spinor: " + " ".join(f"{c:.17g}" for c in psi),
             f"eigenvalue: {zeta * kin.q:.17g}",
             f"norm error: {norm_err:.3e}",
             f"residual: {residual:.3e}",

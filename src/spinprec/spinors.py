@@ -24,26 +24,20 @@ import numpy as np
 
 from .kinematics import Kinematics, check_sign, check_unit
 
-_I2 = np.eye(2, dtype=complex)
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
 
+#: block-diagonal Pauli vector, Sigma_k = I2 (x) pauli_k
+SIGMA4 = tuple(np.kron(np.eye(2), p) for p in _PAULI)
 
-def _block_diag(m: np.ndarray) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = m
-    out[2:, 2:] = m
-    return out
+#: rho2 = pauli_y (x) I2: upper-right -i*I, lower-left +i*I
+RHO2 = np.kron(_PAULI[1], np.eye(2))
 
-
-#: block-diagonal Pauli vector, sigma_k = diag(pauli_k, pauli_k)
-SIGMA4 = tuple(_block_diag(p) for p in _PAULI)
-
-#: rho2 in the standard Dirac representation: upper-right -i*I, lower-left +i*I
-RHO2 = np.block([[np.zeros((2, 2)), -1j * _I2], [1j * _I2, np.zeros((2, 2))]])
+#: rho2 Sigma_k, the matrices that the components of b x n weigh in Pi . n
+_RHO2_SIGMA4 = tuple(RHO2 @ s for s in SIGMA4)
 
 #: row k is the axis of Pi_k, k = 0, 1, 2 for x, y, z
 AXES = np.eye(3)
@@ -71,7 +65,7 @@ def spin_axis(theta_n: float, phi_n: float) -> np.ndarray:
 
 
 def spin_coefficients(zeta: int, kin: Kinematics) -> np.ndarray:
-    """Four real spin coefficients of the stationary state |zeta>.
+    """Four real spin coefficients of the stationary state |zeta>, as float64.
 
     The column is the Pi_z eigenvector with eigenvalue zeta*q for motion in
     the XZ plane, unit norm by construction:
@@ -100,25 +94,17 @@ def spin_coefficients(zeta: int, kin: Kinematics) -> np.ndarray:
             -0.5 * am * (up - zeta * um),
             0.5 * zeta * ap * (up - zeta * um),
             0.5 * am * (up + zeta * um),
-        ],
-        dtype=complex,
+        ]
     )
 
 
 def pi_component_matrix(n, kin: Kinematics) -> np.ndarray:
     """4x4 Hermitian matrix of the spin projection Pi . n, for a unit 3-vector ``n``."""
     n = check_unit(n, "n")
-    b = kin.gamma * np.array([kin.beta_perp, 0.0, kin.beta_z])
-    sigma_cross_b = (
-        SIGMA4[1] * b[2] - SIGMA4[2] * b[1],
-        SIGMA4[2] * b[0] - SIGMA4[0] * b[2],
-        SIGMA4[0] * b[1] - SIGMA4[1] * b[0],
-    )
-    m = np.zeros((4, 4), dtype=complex)
-    for k in range(3):
-        if n[k] != 0.0:
-            m += n[k] * (SIGMA4[k] + RHO2 @ sigma_cross_b[k])
-    return m
+    bx, bz = kin.gamma * kin.beta_perp, kin.gamma * kin.beta_z
+    # n . (Sigma x b) = (b x n) . Sigma, with b_y = 0
+    b_cross_n = (-bz * n[1], bz * n[0] - bx * n[2], bx * n[1])
+    return sum(n[k] * SIGMA4[k] + b_cross_n[k] * _RHO2_SIGMA4[k] for k in range(3))
 
 
 def matrix_element(bra: np.ndarray, m: np.ndarray, ket: np.ndarray) -> complex:

@@ -50,6 +50,38 @@ def test_flag_and_config_resolve_alike(param, command, tmp_path):
     assert _resolve([command, "--config", str(conf), *_flag(param, wanted)]) == from_flag
 
 
+@pytest.mark.parametrize(
+    "param,command", ROWS, ids=[f"{command}-{param.name}" for param, command in ROWS]
+)
+def test_flag_given_the_options_marker_exits_2(param, command, tmp_path, monkeypatch, capsys):
+    # argparse up to Python 3.12 reads --flag=-- as [], past the flag's type and
+    # choices, and 3.13 as '--'; only the exit code and the line count are pinned
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "=".join(_flag(param, "--"))]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+#: an empty file-system flag, or --config given the options marker
+EMPTY = [[command, "--config=" + value] for command in cli._COMMANDS for value in ("", "--")]
+EMPTY += [[command, "--output="] for command in cli._BY_NAME["output"].commands]
+
+
+@pytest.mark.parametrize("argv", EMPTY, ids=" ".join)
+def test_empty_file_flag_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", cli._BY_NAME["output"].commands)
+def test_config_file_empty_output_exits_2(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "run.conf"
+    conf.write_text("output =\n")
+    assert main([command, "--config", str(conf)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 #: every key a subcommand does not offer, with a value valid where it is offered;
 #: then a sweep that once ran at the default beta, ignoring the file's, and
 #: coupling_s, which no subcommand offers since no output reads the coupling

@@ -119,7 +119,7 @@ def test_unread_config_mu_exits_2(command, tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
 
 
-HOSTILE = ["nan", "-nan", "inf", "-inf", "1e300", "-1", "0", "1.2.3", "", "x"]
+HOSTILE = ["nan", "-nan", "inf", "-inf", "1e300", "-1", "0", "1.2.3", "", "x", "--"]
 #: one small valid value per flag; the grid ones keep every run short
 VALID = {
     "beta": "0.5",
@@ -153,8 +153,9 @@ def _fuzzed(command):
 def _flag_strategy(param, command):
     flag = "--" + param.name.replace("_", "-")
     valid = cli._FORMATS[command] if param.name == "format" else param.choices
-    values = list(map(str, valid)) if valid else [VALID[param.name]]
-    return st.sampled_from(HOSTILE + values).map(lambda v: [flag, v])
+    values = st.sampled_from(HOSTILE + (list(map(str, valid)) if valid else [VALID[param.name]]))
+    # argparse reads "--flag --" and "--flag=--" differently, so draw both spellings
+    return values.map(lambda v: [flag, v]) | values.map(lambda v: [f"{flag}={v}"])
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

@@ -44,6 +44,45 @@ def test_dirac_matrix_algebra():
     assert np.allclose(RHO2, RHO2.conj().T)
 
 
+def test_dirac_matrices_are_the_block_matrices():
+    i2, o2 = np.eye(2), np.zeros((2, 2))
+    pauli = ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+    for s, p in zip(SIGMA4, map(np.array, pauli)):
+        assert np.array_equal(s, np.block([[p, o2], [o2, p]]))
+    assert np.array_equal(RHO2, np.block([[o2, -1j * i2], [1j * i2, o2]]))
+
+
+def _pi_reference(n, kin):
+    """Pi . n summed term by term as n_k (Sigma_k + rho2 (Sigma x b)_k)."""
+    b = kin.gamma * np.array([kin.beta_perp, 0.0, kin.beta_z])
+    m = np.zeros((4, 4), dtype=complex)
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        if n[k] != 0.0:
+            m += n[k] * (SIGMA4[k] + RHO2 @ (SIGMA4[i] * b[j] - SIGMA4[j] * b[i]))
+    return m
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.floats(min_value=0.0, max_value=1.0 - 1e-12),
+    alphas,
+    st.floats(min_value=0.0, max_value=math.pi),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+)
+def test_operator_equals_the_term_by_term_sum(beta, alpha, theta, phi):
+    # each real or imaginary part of an entry is +-1 times one component of n
+    # or of b x n, and the reference rounds those products and sums alike
+    kin = make_kinematics(beta, alpha)
+    for n in (AXES["x"], AXES["y"], AXES["z"], spin_axis(theta, phi)):
+        assert np.array_equal(pi_component_matrix(n, kin), _pi_reference(n, kin))
+
+
+@pytest.mark.parametrize("zeta", [1, -1])
+def test_spin_coefficients_are_real(zeta):
+    assert spin_coefficients(zeta, make_kinematics(0.6, -0.7)).dtype == np.float64
+
+
 def test_operator_is_hermitian():
     kin = make_kinematics(0.8, 1.0)
     for n in (AXES["x"], AXES["y"], AXES["z"], spin_axis(0.7, 2.0)):
