@@ -26,7 +26,6 @@ from .spinors import (
 from .superposition import (
     PolarizationHistory,
     SpinSuperposition,
-    doublet_matrix,
     evolve_expectations,
     evolve_expectations_spinor,
     initial_amplitudes_closed,
@@ -65,7 +64,6 @@ __all__ = [
     "Tolerances",
     "closed_form_matrix_elements",
     "compare",
-    "doublet_matrix",
     "evolve_expectations",
     "evolve_expectations_spinor",
     "extract_frequency",

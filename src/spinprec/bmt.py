@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import TWO_PI, Kinematics, _sinusoids, check_time_grid, check_unit, motion_axis
+from .kinematics import (
+    TWO_PI, Kinematics, _held, _sinusoids, _Workspace, check_time_grid, check_unit, motion_axis
+)
 
 #: floor demanded of the cross-check integrator
 MIN_STEPS_PER_PERIOD = 200
@@ -54,10 +56,10 @@ class PrecessionVector:
 
 @dataclass(frozen=True)
 class PrecessionTrajectory:
-    """Rest-frame spin samples with their mapped lab polarization."""
+    """Rest-frame spin samples with their mapped lab polarization; ``s`` is None in a comparison."""
 
     t: np.ndarray
-    s: np.ndarray
+    s: np.ndarray | None
     pi: np.ndarray
     beta_pi: np.ndarray
 
@@ -100,16 +102,19 @@ def _cross(a, b):
 
 
 def trajectory_exact(
-    s0, omega: PrecessionVector, t_grid, kin: Kinematics
+    s0, omega: PrecessionVector, t_grid, kin: Kinematics, *, workspace: _Workspace | None = None
 ) -> PrecessionTrajectory:
     """Rotate ``s0`` about Omega by |Omega| t at each grid time; map to lab polarization.
 
     ``s0`` must be a unit 3-vector and ``t_grid`` nonempty, finite and strictly ascending.
     ``s`` and ``pi`` are component-major: each row of ``s.T`` and ``pi.T`` is
-    contiguous.
+    contiguous.  With the workspace of a comparison and its grid only ``pi`` and
+    ``beta_pi``, which a comparison reads, are evaluated, into the workspace's rows,
+    and ``s`` is None.
     """
     s0 = check_unit(s0, "s0")
-    t = check_time_grid(t_grid)
+    workspace = _held(workspace, t_grid)
+    t = t_grid if workspace is not None else check_time_grid(t_grid)
     w = omega.magnitude
     # Rodrigues: s(t) = along + (s0 - along) cos(wt) + (axis x s0) sin(wt).  The boost
     # is linear, so pi and beta_pi are the same sinusoid of the three boosted vectors.
@@ -119,7 +124,10 @@ def trajectory_exact(
     pi_vecs, beta_pi_vecs = map_rest_to_pi(vecs, kin)
     # coefs[r] = (c0, c1, c2) of output row r: s x3, pi x3, beta_pi
     coefs = np.concatenate([vecs.T, pi_vecs.T, beta_pi_vecs[None]]).tolist()
-    rows = _sinusoids(coefs, w, t)
+    if workspace is not None:
+        rows = _sinusoids(workspace.classical, coefs[3:], w, t, workspace)
+        return PrecessionTrajectory(t, None, rows[:3].T, rows[3])
+    rows = _sinusoids(np.empty((7, t.size)), coefs, w, t)
     return PrecessionTrajectory(t, rows[:3].T, rows[3:6].T, rows[6])
 
 

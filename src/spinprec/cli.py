@@ -43,6 +43,7 @@ from .compare import (
     seed_classical,
 )
 from .kinematics import (
+    _Workspace,
     make_coupling,
     make_kinematics,
     motion_axis,
@@ -235,7 +236,7 @@ def _tolerances(cfg: dict) -> Tolerances:
     )
 
 
-def _comparison(cfg: dict, kin, sup):
+def _comparison(cfg: dict, kin, sup, workspace=None):
     """:func:`run_comparison` at the point that ``_point(cfg)`` resolved."""
     return run_comparison(
         sup,
@@ -244,6 +245,7 @@ def _comparison(cfg: dict, kin, sup):
         periods=cfg["periods"],
         samples_per_period=cfg["samples_per_period"],
         tolerances=_tolerances(cfg),
+        workspace=workspace,
     )
 
 
@@ -478,12 +480,11 @@ def cmd_sweep(cfg: dict) -> int:
         "extracted_frequency,frequency_formula,pass"
     ]
     all_pass = True
+    workspace = _Workspace()  # every point's grid has one length, so one set of rows serves all
     for beta in betas:
         for alpha_deg in alphas:
-            # holding the last point's arrays in _ until this point's exist keeps
-            # malloc from trimming and refaulting the heap on every point
             point = dict(cfg, beta=float(beta), alpha_deg=float(alpha_deg))
-            report, _, _ = _comparison(point, *_point(point))
+            report, _, _ = _comparison(point, *_point(point), workspace)
             all_pass = all_pass and report.passed
             worst = max(report.max_abs_deviation.values())
             freq = (

@@ -19,7 +19,8 @@ import numpy as np
 
 from .bmt import PrecessionTrajectory, omega_vector, trajectory_exact
 from .kinematics import (
-    TWO_PI, FieldCoupling, Kinematics, check_sign, check_time_grid, check_unit, precession_frequency
+    TWO_PI, FieldCoupling, Kinematics, _held, _Workspace, check_sign, check_time_grid, check_unit,
+    precession_frequency,
 )
 from .superposition import PolarizationHistory, SpinSuperposition, evolve_expectations
 
@@ -70,13 +71,17 @@ class ComparisonReport:
     passed: bool
 
 
-def extract_frequency(t, series) -> float | None:
+def extract_frequency(t, series, *, workspace: _Workspace | None = None) -> float | None:
     """Angular frequency of a sampled sinusoid on a uniform grid, or None.
 
     Fits ``d[n+k] + d[n-k] = 2 cos(w k dt) d[n]`` (Prony's linear prediction)
     by least squares to the offset-free differences ``d[n] = y[n+k] - y[n]``.
     None means no oscillation.  Raises ValueError for a nonuniform grid or a bad series.
+    With the workspace of a comparison and its grid, the grid is not checked
+    again (its workspace checked it, and ``period_grid`` built it uniform) and
+    the work rows are the workspace's.
     """
+    workspace = _held(workspace, t)
     t = np.asarray(t, dtype=float)
     y = np.asarray(series, dtype=float)
     if t.shape != y.shape or t.ndim != 1 or t.size < MIN_FIT_SAMPLES:
@@ -84,26 +89,33 @@ def extract_frequency(t, series) -> float | None:
             f"t and series must be 1-d arrays of one length >= {MIN_FIT_SAMPLES}, "
             f"got {t.shape} and {y.shape}"
         )
-    check_time_grid(t)
-    dt = (t[-1] - t[0]) / (t.size - 1)
-    # linspace puts each sample within half an ulp of the largest |t|, an
-    # end, so its intervals spread by about two such ulps at any length
-    if not np.ptp(np.diff(t)) <= 4.0 * np.finfo(float).eps * max(-t[0], t[-1]):
-        raise ValueError("t must be a uniform grid")
+    n = t.size
+    if workspace is None:
+        check_time_grid(t)
+        # linspace puts each sample within half an ulp of the largest |t|, an
+        # end, so its intervals spread by about two such ulps at any length
+        if not np.ptp(np.diff(t)) <= 4.0 * np.finfo(float).eps * max(-t[0], t[-1]):
+            raise ValueError("t must be a uniform grid")
+        work, signs = np.empty((2, n)), np.empty((2, n), dtype=bool)
+    else:
+        work, signs = workspace.scratch[:2, :n], workspace.signs
+    dt = (t[-1] - t[0]) / (n - 1)
     lo, hi = float(y.min()), float(y.max())  # NaN in y makes both NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("series must be finite")
-    centred = y - y.mean()
+    centred = np.subtract(y, y.mean(), out=work[0])
     scale = max(1.0, -lo, hi)
     if max(float(centred.max()), -float(centred.min())) < OSCILLATION_FLOOR * scale:
         return None
     # two sign changes per period: k is about a quarter period, so w k dt < pi
-    changes = int(np.count_nonzero(np.diff(np.signbit(centred))))
-    k = max(1, min(t.size // max(2 * changes, 1), (t.size - 1) // 3))
-    d = y[k:] - y[:-k]
+    np.signbit(centred, out=signs[0])
+    changes = int(np.count_nonzero(np.not_equal(signs[0, 1:], signs[0, :-1], out=signs[1, 1:])))
+    k = max(1, min(n // max(2 * changes, 1), (n - 1) // 3))
+    d = np.subtract(y[k:], y[:-k], out=work[1, k:])
     # elementwise sums, not a BLAS dot, whose bits vary with the CPU kernel
-    num = float(np.sum((d[2 * k :] + d[: -2 * k]) * d[k:-k]))
-    den = 2.0 * float(np.sum(d[k:-k] * d[k:-k]))
+    prod = np.add(d[2 * k :], d[: -2 * k], out=work[0, : n - 3 * k])
+    num = float(np.sum(np.multiply(prod, d[k:-k], out=prod)))
+    den = 2.0 * float(np.sum(np.multiply(d[k:-k], d[k:-k], out=prod)))
     if not (den > 0.0 and abs(num) <= den):
         raise ValueError("series fits no sinusoid")
     return math.acos(num / den) / (k * dt)
@@ -115,18 +127,22 @@ def compare(
     tolerances: Tolerances | None = None,
     *,
     frequency_formula: float,
+    workspace: _Workspace | None = None,
 ) -> ComparisonReport:
     """Componentwise deviation, invariant drift and frequency check.
 
     Both inputs must share one time grid; anything else is a structural
     error, not a physics failure.  The classical series that oscillates
-    most must run at ``frequency_formula``.
+    most must run at ``frequency_formula``.  With the workspace of a
+    comparison and its grid the work rows are the workspace's.
     """
     tol = tolerances or Tolerances()
     if quantum.t is not classical.t and not np.array_equal(quantum.t, classical.t):
         raise ValueError("quantum and classical series must share one time grid")
     series = (*classical.pi.T, classical.beta_pi)
-    buf = np.empty(quantum.t.shape)  # one scratch row for every difference below
+    held = _held(workspace, classical.t)
+    # one scratch row for every difference below
+    buf = np.empty(quantum.t.shape) if held is None else held.scratch[0, : quantum.t.size]
     dev = {}
     for k, c in zip(_COMPONENTS, series):
         np.subtract(getattr(quantum, k), c, out=buf)
@@ -134,7 +150,7 @@ def compare(
     np.subtract(quantum.invariant, 1.0, out=buf)
     inv_err = float(np.abs(buf, out=buf).max())
     spans = [float(c.max() - c.min()) for c in series]  # np.ptp, without its wrapper
-    extracted = extract_frequency(classical.t, series[int(np.argmax(spans))])
+    extracted = extract_frequency(classical.t, series[int(np.argmax(spans))], workspace=workspace)
     freq_ok = extracted is None or (
         abs(extracted - frequency_formula) <= tol.frequency_rel * abs(frequency_formula)
     )
@@ -204,11 +220,17 @@ def run_comparison(
     periods: float = DEFAULT_PERIODS,
     samples_per_period: int = DEFAULT_SAMPLES_PER_PERIOD,
     tolerances: Tolerances | None = None,
+    workspace: _Workspace | None = None,
 ) -> tuple[ComparisonReport, PolarizationHistory, PrecessionTrajectory]:
     """Full pipeline: evolve both sides on one grid and compare them.
 
     The classical side starts from :func:`seed_classical` on the axis and
-    sign of ``sup``, not from its amplitudes, and follows the exact rotation.
+    sign of ``sup``, not from its amplitudes, and follows the exact rotation;
+    its trajectory carries ``pi`` and ``beta_pi``, the rows compared, and no
+    ``s``.  The grid is built by :func:`period_grid` and checked once, when a
+    workspace takes it; it is returned read-only.  Without ``workspace`` each
+    call fills a fresh one, so the arrays returned are the caller's; with one,
+    they are its rows and the next comparison on it overwrites them.
     Raises ValueError unless the grid holds :data:`MIN_FIT_SAMPLES` samples.
     """
     t = period_grid(kin, periods, samples_per_period)
@@ -217,9 +239,13 @@ def run_comparison(
             f"{periods:g} periods x {samples_per_period} samples-per-period gives a "
             f"{t.size}-sample grid; a comparison needs at least {MIN_FIT_SAMPLES}"
         )
-    quantum = evolve_expectations(sup, kin, coupling, t)
+    workspace = _Workspace() if workspace is None else workspace
+    workspace.hold(t)
+    quantum = evolve_expectations(sup, kin, coupling, t, workspace=workspace)
     s0 = seed_classical(sup.axis, sup.epsilon, kin)
-    classical = trajectory_exact(s0, omega_vector(kin), t, kin)
-    report = compare(quantum, classical, tolerances, frequency_formula=precession_frequency(kin))
+    classical = trajectory_exact(s0, omega_vector(kin), t, kin, workspace=workspace)
+    report = compare(
+        quantum, classical, tolerances, frequency_formula=precession_frequency(kin), workspace=workspace
+    )
     return report, quantum, classical
 

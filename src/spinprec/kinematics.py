@@ -7,7 +7,8 @@ of the rest energy m0*c^2, time in units of hbar/(2*|mu|*H), so a spin
 state precesses through phase omega*t with omega = sqrt(1 -
 beta^2*cos^2(alpha)).  Physical units enter only at the CLI boundary.
 The input rules every layer shares (``check_*``) live here as well, and
-so does the one evaluator of a precessing output on a time grid.
+so do the one evaluator of a precessing output on a time grid and the
+workspace whose rows a comparison fills.
 """
 
 from __future__ import annotations
@@ -167,7 +168,44 @@ def check_time_grid(t_grid) -> np.ndarray:
     return t
 
 
-def _sin_cos(w: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """The rows a comparison reads, kept for the next comparison on a grid of one length.
+
+    ``t`` is the grid the rows were last filled for: :func:`spinprec.compare.run_comparison`
+    builds it with ``period_grid``, and :meth:`hold` checks it once and makes it
+    read-only.  An evaluator handed a workspace together with that grid object
+    skips the grid checks, including the ``linspace`` test of :func:`_sin_cos`, and writes
+    into the workspace's rows: ``quantum`` holds pi_x, pi_y, pi_z, beta_pi and the invariant,
+    ``classical`` pi_x, pi_y, pi_z and beta_pi.  ``scratch`` holds three work rows laid
+    out for :func:`_sin_cos` and ``signs`` two boolean rows.  With any other grid an
+    evaluator checks it and allocates, as without a workspace.
+    """
+
+    def __init__(self) -> None:
+        self.t = None
+
+    def hold(self, t: np.ndarray) -> None:
+        """Check the ``period_grid`` output ``t`` and take it; rows change only with its length."""
+        t = check_time_grid(t)
+        t.flags.writeable = False
+        n = t.size
+        if self.t is None or self.t.size != n:
+            m = math.isqrt(n - 1) + 1
+            self.quantum = np.empty((5, n))
+            self.classical = np.empty((4, n))
+            self.scratch = np.empty((3, -(-n // m) * m))
+            self.signs = np.empty((2, n), dtype=bool)
+        self.t = t
+
+
+def _held(workspace: _Workspace | None, t_grid) -> _Workspace | None:
+    """``workspace`` if it holds the grid object ``t_grid``, else None."""
+    return workspace if workspace is not None and t_grid is workspace.t else None
+
+
+def _sin_cos(
+    w: float, t: np.ndarray, workspace: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """sin(w t) and cos(w t) on a grid that :func:`check_time_grid` accepted.
 
     A grid of at least :data:`SINCOS_MIN_SAMPLES` samples that equals ``np.linspace``
@@ -179,10 +217,14 @@ def _sin_cos(w: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Both lie within 4 eps max(1, |w t|) of libm's, with |w t| the largest on the
     grid, and equal libm's at the block starts.  Any other grid takes libm per sample.
+    ``workspace``, if given, holds ``t``: a ``period_grid``, so a ``linspace``, which
+    is not tested again, and the sinusoids are written into its scratch rows.
     """
     n = t.size
     # linspace keeps every sample within a few ulps of t[0] + i h, which the bound needs
-    if n < SINCOS_MIN_SAMPLES or not np.array_equal(t, np.linspace(t[0], t[-1], n)):
+    if n < SINCOS_MIN_SAMPLES or (
+        workspace is None and not np.array_equal(t, np.linspace(t[0], t[-1], n))
+    ):
         phase = w * t
         sin = np.sin(phase)
         return sin, np.cos(phase, out=phase)
@@ -191,25 +233,31 @@ def _sin_cos(w: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = (w * ((t[-1] - t[0]) / (n - 1))) * np.arange(m)
     sin_b, cos_b, sin_a, cos_a = np.sin(b), np.cos(b), np.sin(a), np.cos(a)
     # (blocks, m) outer products, whose rows laid end to end are the grid
-    sin = np.multiply(sin_b, cos_a)
-    term = np.multiply(cos_b, sin_a)
+    sin = cos = term = None
+    if workspace is not None:
+        sin, cos, term = workspace.scratch.reshape(3, -1, m)
+    sin = np.multiply(sin_b, cos_a, out=sin)
+    term = np.multiply(cos_b, sin_a, out=term)
     sin += term
-    cos = np.multiply(cos_b, cos_a)
+    cos = np.multiply(cos_b, cos_a, out=cos)
     np.multiply(sin_b, sin_a, out=term)
     cos -= term
     return sin.ravel()[:n], cos.ravel()[:n]
 
 
-def _sinusoids(coefs, w: float, t: np.ndarray) -> np.ndarray:
-    """Rows (c0 + c1 cos(w t)) + c2 sin(w t), one per (c0, c1, c2) of ``coefs``.
+def _sinusoids(
+    rows: np.ndarray, coefs, w: float, t: np.ndarray, workspace: _Workspace | None = None
+) -> np.ndarray:
+    """Fill row r of ``rows`` in place with (c0 + c1 cos(w t)) + c2 sin(w t), (c0, c1, c2) = coefs[r].
 
     Both closed paths give every output in this form, so this is where each is
     evaluated on ``t``, a grid :func:`check_time_grid` accepted, with the
-    sinusoids of :func:`_sin_cos`.  Each row is contiguous and built in place.
+    sinusoids of :func:`_sin_cos`; ``workspace``, if given, holds ``t`` and lends
+    them its scratch rows.  Each row of ``rows`` must be contiguous; returns ``rows``.
     """
-    sin, cos = _sin_cos(w, t)
-    rows = np.empty((len(coefs), t.size))
-    term = np.empty(t.size)
+    sin, cos = _sin_cos(w, t, workspace)
+    # _sin_cos leaves the third scratch row free
+    term = np.empty(t.size) if workspace is None else workspace.scratch[2, : t.size]
     for row, (c0, c1, c2) in zip(rows, coefs):
         np.multiply(cos, c1, out=row)
         row += c0

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import (
-    FieldCoupling, Kinematics, _sinusoids, check_sign, check_time_grid, check_unit,
-    precession_frequency,
+    FieldCoupling, Kinematics, _held, _sinusoids, _Workspace, check_sign, check_time_grid,
+    check_unit, precession_frequency,
 )
+# matrix_element has no caller here, but perfbench's tracer wraps it in this module
 from .spinors import (
     AXES,
     closed_form_matrix_elements,
@@ -81,15 +82,6 @@ def initial_amplitudes_closed(
     return initial_amplitudes_general(AXES["xyz".index(key)], epsilon, kin)
 
 
-def doublet_matrix(n, kin: Kinematics) -> np.ndarray:
-    """Spin projection on ``n`` reduced to the {|+>, |->} doublet (2x2 Hermitian)."""
-    m = pi_component_matrix(n, kin)
-    states = (spin_coefficients(+1, kin), spin_coefficients(-1, kin))
-    return np.array(
-        [[matrix_element(bi, m, bj) for bj in states] for bi in states]
-    )
-
-
 def initial_amplitudes_general(
     n, epsilon: int, kin: Kinematics
 ) -> SpinSuperposition:
@@ -128,6 +120,8 @@ def evolve_expectations(
     kin: Kinematics,
     coupling: FieldCoupling,
     t_grid,
+    *,
+    workspace: _Workspace | None = None,
 ) -> PolarizationHistory:
     """Polarization components over time from the closed matrix-element forms.
 
@@ -143,8 +137,11 @@ def evolve_expectations(
     <-zeta|beta.Pi|zeta> = -beta_perp*gamma/q: summed from <Pi_x> and <Pi_z>,
     which grow like gamma, it would be off by about eps*gamma.
     ``coupling`` is not read: no closed-form output depends on it.
+    With the workspace of a comparison and its grid the rows are the workspace's.
     """
-    t = check_time_grid(t_grid)
+    workspace = _held(workspace, t_grid)
+    t = t_grid if workspace is not None else check_time_grid(t_grid)
+    rows = np.empty((5, t.size)) if workspace is None else workspace.quantum
     me_p = closed_form_matrix_elements(kin, +1)
     me_m = closed_form_matrix_elements(kin, -1)
     wp = abs(sup.amp_plus) ** 2
@@ -154,9 +151,10 @@ def evolve_expectations(
     cross = [*me_m.cross.tolist(), -kin.beta_perp * kin.gamma / kin.q]
     # row k is diag_k + cos(omega t) Re g_k - sin(omega t) Im g_k with g_k = 2 conj(A) B cross_k
     coefs = [(d, g.real, -g.imag) for d, g in zip(diag, (2.0 * cw * c for c in cross))]
-    pi_x, pi_y, pi_z, beta_pi = _sinusoids(coefs, precession_frequency(kin), t)
-    invariant = np.square(pi_x)
-    term = np.empty(t.size)
+    _sinusoids(rows[:4], coefs, precession_frequency(kin), t, workspace)
+    pi_x, pi_y, pi_z, beta_pi, invariant = rows
+    np.square(pi_x, out=invariant)
+    term = np.empty(t.size) if workspace is None else workspace.scratch[0, : t.size]
     for c in (pi_y, pi_z):
         np.square(c, out=term)
         invariant += term

@@ -14,7 +14,6 @@ from spinprec import (
     FieldCoupling,
     PrecessionVector,
     closed_form_matrix_elements,
-    doublet_matrix,
     evolve_expectations,
     initial_amplitudes_closed,
     initial_amplitudes_general,
@@ -34,6 +33,8 @@ from spinprec import (
     trajectory_exact,
     extract_frequency,
 )
+
+from reference import doublet_matrix
 
 COUP = FieldCoupling(1e-3, 1)
 AXES = {

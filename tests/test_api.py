@@ -5,7 +5,7 @@ import spinprec
 API = (
     "ComparisonReport FieldCoupling Kinematics MatrixElements PolarizationHistory"
     " PrecessionTrajectory PrecessionVector SRScales SpinSuperposition"
-    " Tolerances closed_form_matrix_elements compare doublet_matrix"
+    " Tolerances closed_form_matrix_elements compare"
     " evolve_expectations evolve_expectations_spinor extract_frequency"
     " initial_amplitudes_closed initial_amplitudes_general integrate"
     " make_coupling make_kinematics map_pi_to_rest map_rest_to_pi matrix_element"

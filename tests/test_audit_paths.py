@@ -629,7 +629,7 @@ def test_spinor_path_needs_no_closed_path(monkeypatch):
 
 
 #: what only eigenstate, the spinor audit and the tests may call
-AUDIT_ONLY = ("doublet_matrix", "spin_coefficients", "pi_component_matrix")
+AUDIT_ONLY = ("spin_coefficients", "pi_component_matrix")
 
 
 def _audit_only(*args, **kwargs):
@@ -671,7 +671,7 @@ def test_audit_paths_catch_a_phase_fault_in_the_grid_sinusoids(monkeypatch):
     assert max(np.abs(closed.pi_x - spinor.pi_x).max(), np.abs(closed.pi_y - spinor.pi_y).max()) <= tol
     assert np.abs(trajectory_exact(s0, omega, t, kin).s - rk4.s).max() <= tol
 
-    def shifted(w, t):
+    def shifted(w, t, workspace=None):
         phase = w * t + 1e-6
         return np.sin(phase), np.cos(phase)
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -30,7 +31,7 @@ from spinprec import (
 )
 from spinprec.cli import format_report
 from spinprec.compare import OSCILLATION_FLOOR, seed_classical
-from spinprec.kinematics import TWO_PI
+from spinprec.kinematics import TWO_PI, _Workspace
 from spinprec.superposition import evolve_expectations
 
 COUP = FieldCoupling(1e-3, 1)
@@ -322,6 +323,81 @@ def test_run_comparison_stationary():
     report, _, _ = run_comparison(sup, kin, COUP)
     assert report.passed
     assert report.extracted_frequency is None
+
+
+#: (beta, alpha, axis, periods, samples per period) of a sweep-like loop: the grid
+#: length changes once, and the last grid is short enough to take libm per sample
+LOOP = [
+    (0.3, 0.4, "x", 10.0, 1024),
+    (0.95, 2.0, "y", 10.0, 1024),
+    (0.6, -1.0, "z", 10.0, 1024),
+    (0.999, math.pi, "x", 10.0, 1024),
+    (0.8, 1.1, "y", 3.0, 1024),
+    (0.5, 0.7, "x", 2.0, 64),
+]
+
+
+def _rows(quantum, classical):
+    return (*(getattr(quantum, k) for k in ("pi_x", "pi_y", "pi_z", "beta_pi", "invariant")),
+            classical.pi, classical.beta_pi)
+
+
+def test_a_shared_workspace_gives_the_bytes_of_fresh_and_lone_calls():
+    workspace = _Workspace()
+    for beta, alpha, axis, periods, spp in LOOP:
+        kin = make_kinematics(beta, alpha)
+        sup = initial_amplitudes_closed(axis, 1, kin)
+        report, quantum, classical = run_comparison(sup, kin, COUP, periods, spp, workspace=workspace)
+        assert quantum.t is classical.t is workspace.t and not workspace.t.flags.writeable
+        assert np.shares_memory(quantum.pi_x, workspace.quantum)
+        assert np.shares_memory(classical.pi, workspace.classical)
+        assert classical.s is None  # a comparison evaluates only the rows it compares
+        fresh = run_comparison(sup, kin, COUP, periods, spp)
+        t = period_grid(kin, periods, spp)
+        alone_q = evolve_expectations(sup, kin, COUP, t)
+        alone_c = trajectory_exact(seed_classical(sup.axis, 1, kin), omega_vector(kin), t, kin)
+        assert fresh[0] == report
+        assert compare(alone_q, alone_c, frequency_formula=precession_frequency(kin)) == report
+        got = [row.tobytes() for row in _rows(quantum, classical)]
+        assert got == [row.tobytes() for row in _rows(*fresh[1:])]
+        assert got == [row.tobytes() for row in _rows(alone_q, alone_c)]
+        assert t.tobytes() == quantum.t.tobytes()
+
+
+def test_comparisons_without_a_workspace_share_no_memory():
+    kin = make_kinematics(0.6, 0.7)
+    first = run_comparison(initial_amplitudes_closed("x", 1, kin), kin, COUP)
+    second = run_comparison(initial_amplitudes_closed("y", 1, kin), kin, COUP)
+    arrays = [[hist.t, *_rows(hist, traj)] for _, hist, traj in (first, second)]
+    for a in arrays[0]:
+        for b in arrays[1]:
+            assert not np.shares_memory(a, b)
+    # with one workspace the second comparison writes over the first's rows
+    workspace = _Workspace()
+    _, hist, _ = run_comparison(initial_amplitudes_closed("x", 1, kin), kin, COUP, workspace=workspace)
+    _, again, _ = run_comparison(initial_amplitudes_closed("y", 1, kin), kin, COUP, workspace=workspace)
+    assert hist.pi_x is not again.pi_x and np.shares_memory(hist.pi_x, again.pi_x)
+
+
+def test_a_comparison_checks_its_grid_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("kinematics", "superposition", "bmt", "compare"):
+        module = importlib.import_module(f"spinprec.{name}")
+        monkeypatch.setattr(module, "check_time_grid", counted("check", module.check_time_grid))
+    for name in ("linspace", "diff", "ptp"):
+        monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+    kin = make_kinematics(0.6, 0.7)
+    report, _, _ = run_comparison(initial_amplitudes_closed("x", 1, kin), kin, COUP)
+    assert report.passed
+    # period_grid's linspace, and one check when the workspace takes that grid
+    assert calls == ["linspace", "check"]
 
 
 def test_period_grid_validation():

@@ -157,6 +157,10 @@ CASES = {
     # the frequency fit needs four samples; a smaller grid is refused by its flags
     "compare_three_sample_grid": ["compare", "--periods", "0.1", "--samples-per-period", "16"],
     "compare_momentum_alpha_200": ["compare", "--alpha-deg", "200", "--orientation", "momentum", *SMALL],
+    # on the field axis at gamma ~ 7e3, where Omega_z = 1 - g beta_z^2 cancelled to a false FAIL
+    "compare_high_gamma_on_axis": [
+        "compare", "--beta", "0.99999999", "--alpha-deg", "0", "--format", "table",
+    ],
     # sweep: every orientation
     **{
         f"sweep_{o}": [

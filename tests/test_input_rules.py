@@ -15,7 +15,6 @@ import pytest
 from spinprec import (
     FieldCoupling,
     closed_form_matrix_elements,
-    doublet_matrix,
     evolve_expectations,
     evolve_expectations_spinor,
     initial_amplitudes_closed,
@@ -40,7 +39,6 @@ E_Y = np.array([0.0, 1.0, 0.0])
 
 VECTOR_ENTRIES = {
     "pi_component_matrix": lambda v: pi_component_matrix(v, KIN),
-    "doublet_matrix": lambda v: doublet_matrix(v, KIN),
     "initial_amplitudes_general": lambda v: initial_amplitudes_general(v, 1, KIN),
     "seed_classical": lambda v: seed_classical(v, 1, KIN),
     "trajectory_exact": lambda v: trajectory_exact(v, OMEGA, [0.0, 1.0], KIN),

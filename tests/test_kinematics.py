@@ -19,7 +19,8 @@ from spinprec import (
     sr_scales,
     trajectory_exact,
 )
-from spinprec.kinematics import SINCOS_MIN_SAMPLES, _sin_cos, check_time_grid
+from spinprec.compare import extract_frequency, seed_classical
+from spinprec.kinematics import SINCOS_MIN_SAMPLES, _sin_cos, _Workspace, check_time_grid
 
 #: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
 betas = st.floats(min_value=0.0, max_value=0.99)
@@ -245,3 +246,32 @@ def test_other_grids_call_libm_on_every_sample(grid, monkeypatch):
     evolve_expectations(sup, kin, FieldCoupling(1e-3, 1), t)
     trajectory_exact(np.array([0.0, 0.0, 1.0]), omega_vector(kin), t, kin)
     assert counts == [t.size] * 4
+
+
+def test_a_grid_its_workspace_did_not_build_is_checked_in_full(monkeypatch):
+    kin = make_kinematics(0.6, math.pi / 4)
+    sup = initial_amplitudes_closed("x", 1, kin)
+    coupling = FieldCoupling(1e-3, 1)
+    s0 = seed_classical(sup.axis, 1, kin)
+    workspace = _Workspace()
+    run_comparison(sup, kin, coupling, workspace=workspace)
+    nudged = workspace.t.copy()  # writable, and no longer its own linspace, by one ulp
+    nudged[5] = np.nextafter(nudged[5], math.inf)
+    counts = count_sinusoid_elements(monkeypatch)
+    hist = evolve_expectations(sup, kin, coupling, nudged, workspace=workspace)
+    traj = trajectory_exact(s0, omega_vector(kin), nudged, kin, workspace=workspace)
+    assert counts == [nudged.size] * 4
+    # evaluated as without a workspace: fresh rows, all seven of the rotation
+    assert not np.shares_memory(hist.pi_x, workspace.quantum) and traj.s is not None
+    assert extract_frequency(nudged, traj.beta_pi, workspace=workspace) > 0.0
+    nudged[-2] = nudged[-1]
+    for call in (
+        lambda: evolve_expectations(sup, kin, coupling, nudged, workspace=workspace),
+        lambda: trajectory_exact(s0, omega_vector(kin), nudged, kin, workspace=workspace),
+        lambda: extract_frequency(nudged, traj.beta_pi, workspace=workspace),
+    ):
+        with pytest.raises(ValueError, match="^time grid must be strictly ascending$"):
+            call()
+    nudged[-2] = np.nextafter(nudged[-1], 0.0)  # ascending, but not uniform
+    with pytest.raises(ValueError, match="^t must be a uniform grid$"):
+        extract_frequency(nudged, traj.beta_pi, workspace=workspace)

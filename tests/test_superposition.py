@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from spinprec import (
     FieldCoupling,
     SpinSuperposition,
-    doublet_matrix,
     evolve_expectations,
     evolve_expectations_spinor,
     initial_amplitudes_closed,
@@ -18,6 +17,8 @@ from spinprec import (
     precession_frequency,
     spin_axis,
 )
+
+from reference import doublet_matrix
 
 #: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
 betas = st.floats(min_value=0.0, max_value=0.99)
