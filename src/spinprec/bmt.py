@@ -68,14 +68,17 @@ def omega_vector(kin: Kinematics) -> PrecessionVector:
     """Precession vector for motion in the XZ plane, field along Z.
 
     |Omega| = sqrt(1 - beta^2 cos^2(alpha)), matching the magnitude of the
-    quantum level-splitting frequency.
+    quantum level-splitting frequency.  Omega_z = 1 - gamma beta_z^2/(gamma + 1)
+    is written, by gamma beta^2 = gamma - 1/gamma, as
+
+        Omega_z = (1 + 1/gamma + gamma beta_perp^2)/(gamma + 1)
+
+    whose terms are all positive: the difference cancels towards 1/gamma
+    when the motion runs along the field.
     """
     g = kin.gamma / (kin.gamma + 1.0)
-    return PrecessionVector(
-        np.array(
-            [-g * kin.beta_z * kin.beta_perp, 0.0, 1.0 - g * kin.beta_z**2]
-        )
-    )
+    omega_z = (1.0 + 1.0 / kin.gamma + kin.gamma * kin.beta_perp**2) / (kin.gamma + 1.0)
+    return PrecessionVector(np.array([-g * kin.beta_z * kin.beta_perp, 0.0, omega_z]))
 
 
 def map_rest_to_pi(s, kin: Kinematics) -> tuple[np.ndarray, np.ndarray]:

@@ -24,8 +24,12 @@ from spinprec.bmt import MAX_RK4_SUBSTEPS
 
 #: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
 betas = st.floats(min_value=0.0, max_value=0.99)
-#: the whole circle and beyond, as --alpha-deg accepts any finite angle
-alphas = st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi)
+#: the whole circle and beyond, as --alpha-deg accepts any finite angle, and a tiny
+#: step off the field axis, k pi, where omega_vector's Omega_z once cancelled
+alphas = st.one_of(
+    st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi),
+    st.builds(lambda k, tiny: k * math.pi + tiny, st.integers(-4, 4), st.floats(-1e-3, 1e-3)),
+)
 
 COUP = FieldCoupling(1e-3, 1)
 
@@ -56,6 +60,18 @@ def test_omega_magnitude_matches_quantum_frequency(beta, alpha):
     kin = make_kinematics(beta, alpha)
     quantum = precession_frequency(kin)
     assert abs(omega_vector(kin).magnitude - quantum) < 1e-12
+
+
+#: speeds up to 1 - 1e-14 (gamma ~ 7e6), log-uniform in 1 - beta, with the low speeds of betas
+luminal_betas = st.one_of(betas, st.floats(min_value=-14.0, max_value=0.0).map(lambda e: 1.0 - 10.0**e))
+
+
+@settings(deadline=None, max_examples=500)
+@given(luminal_betas, alphas)
+def test_omega_magnitude_is_the_quantum_frequency_to_a_few_ulps(beta, alpha):
+    kin = make_kinematics(beta, alpha)
+    quantum = precession_frequency(kin)
+    assert abs(omega_vector(kin).magnitude - quantum) <= 4.0 * np.finfo(float).eps * quantum
 
 
 def test_rotate_identity_and_period():

@@ -18,6 +18,7 @@ from spinprec import (
     extract_frequency,
     initial_amplitudes_closed,
     initial_amplitudes_general,
+    integrate,
     make_kinematics,
     map_pi_to_rest,
     map_rest_to_pi,
@@ -315,6 +316,22 @@ def test_run_comparison_flagship():
     assert hist.t.shape == traj.t.shape
     rel = abs(report.extracted_frequency - report.frequency_formula)
     assert rel < 1e-6 * report.frequency_formula
+
+
+@pytest.mark.parametrize("alpha_deg", [0.0, 0.001, 180.0])
+@pytest.mark.parametrize("orientation", ["x", "y", "momentum"])
+def test_compare_passes_near_the_field_axis_at_high_gamma(orientation, alpha_deg):
+    # gamma ~ 7e3: Omega_z = 1 - g beta_z^2 lost ~eps gamma to cancellation, 3e-7 in pi
+    kin = make_kinematics(1.0 - 1e-8, math.radians(alpha_deg))
+    axes = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "momentum": motion_axis(kin)}
+    sup = initial_amplitudes_general(axes[orientation], 1, kin)
+    report, quantum, _ = run_comparison(sup, kin, COUP)
+    assert report.passed, report
+    # the RK4 audit reads the same Omega: its rest-frame spin is the quantum side's
+    s0 = seed_classical(sup.axis, 1, kin)
+    rk4 = integrate(s0, omega_vector(kin), quantum.t, kin)
+    quantum_s = map_pi_to_rest(np.stack([quantum.pi_x, quantum.pi_y, quantum.pi_z], axis=1), kin)
+    assert np.abs(rk4.s - quantum_s).max() <= Tolerances().deviation
 
 
 def test_run_comparison_stationary():
