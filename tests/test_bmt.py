@@ -63,7 +63,9 @@ def test_omega_magnitude_matches_quantum_frequency(beta, alpha):
 
 
 #: speeds up to 1 - 1e-14 (gamma ~ 7e6), log-uniform in 1 - beta, with the low speeds of betas
-luminal_betas = st.one_of(betas, st.floats(min_value=-14.0, max_value=0.0).map(lambda e: 1.0 - 10.0**e))
+luminal_betas = st.one_of(
+    betas, st.floats(min_value=-14.0, max_value=0.0).map(lambda e: 1.0 - 10.0**e)
+)
 
 
 @settings(deadline=None, max_examples=500)
