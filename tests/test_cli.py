@@ -211,6 +211,16 @@ def test_bmt_rk4_method(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(("steps", "code"), [("200", 1), ("400", 0)])
+def test_bmt_rk4_norm_drift_verdict(capsys, steps, code):
+    # one period at the 200-step floor drifts the spin norm by ~1.1e-9, past the 1e-9
+    # limit; 400 steps drift ~4e-11.  A failed physics check writes its series and no stderr.
+    argv = ["bmt", "--method", "rk4", "--periods", "1", "--samples-per-period", "16"]
+    got, out, err = run(capsys, *argv, "--steps-per-period", steps)
+    assert (got, err) == (code, "")
+    assert len(parse_csv(out)[1]) == 17
+
+
 def test_bmt_matches_precess_columns(capsys):
     # both commands must describe the same initial state, x is the
     # orientation where a naive axis-aligned classical seed diverges
