@@ -35,6 +35,8 @@ MIN_STEPS_PER_PERIOD = 200
 DEFAULT_STEPS_PER_PERIOD = 400
 #: most RK4 substeps one integrate call may take: K of them leave ~K eps, 2e-9 < the 1e-8 tolerance
 MAX_RK4_SUBSTEPS = 10**7
+#: spin-norm conservation demanded of a trajectory, as its norm_drift
+NORM_DRIFT_TOL = 1e-9
 #: grid intervals integrate maps at once; bounds its memory on any grid
 _BLOCK = 4096
 
@@ -62,6 +64,11 @@ class PrecessionTrajectory:
     s: np.ndarray | None
     pi: np.ndarray
     beta_pi: np.ndarray
+
+    @property
+    def norm_drift(self) -> float:
+        """max ||s| - 1| over the samples, which :data:`NORM_DRIFT_TOL` bounds; needs ``s``."""
+        return float(np.abs(np.linalg.norm(self.s, axis=1) - 1.0).max())
 
 
 def omega_vector(kin: Kinematics) -> PrecessionVector:

@@ -27,6 +27,7 @@ import numpy as np
 from .bmt import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
+    NORM_DRIFT_TOL,
     check_steps_per_period,
     integrate,
     omega_vector,
@@ -49,14 +50,8 @@ from .kinematics import (
     motion_axis,
     sr_scales,
 )
-from .spinors import (
-    AXES,
-    closed_form_matrix_elements,
-    matrix_element,
-    pi_component_matrix,
-    spin_axis,
-    spin_coefficients,
-)
+# matrix_element and pi_component_matrix have no caller here, but perfbench's tracer wraps them here
+from .spinors import AXES, matrix_element, pi_component_matrix, spin_axis, stationary_audit
 # initial_amplitudes_closed has no caller here, but perfbench's tracer wraps it in this module
 from .superposition import (
     evolve_expectations,
@@ -66,11 +61,6 @@ from .superposition import (
 
 HBAR = 1.054571817e-34  # J s
 
-#: audit threshold for the eigenstate norm error; the eigen residual and the
-#: matrix-element mismatch are O(gamma), so theirs is this times gamma
-RESIDUAL_TOL = 1e-12
-#: spin-norm conservation demanded of classical trajectories
-NORM_DRIFT_TOL = 1e-9
 #: most (beta, alpha) points one sweep may take
 MAX_SWEEP_POINTS = 10**6
 #: CSV rows formatted per % call
@@ -310,50 +300,36 @@ def cmd_eigenstate(cfg: dict) -> int:
     """Audit one stationary state: residual, norm, matrix-element table."""
     kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
     zeta = cfg["zeta"]
-    psi = spin_coefficients(zeta, kin)
-    norm_err = abs(float(np.linalg.norm(psi)) - 1.0)
-    mats = [pi_component_matrix(axis, kin) for axis in AXES]
-    residual = float(np.linalg.norm(mats[2] @ psi - zeta * kin.q * psi))
-    closed = closed_form_matrix_elements(kin, zeta)
-    other = spin_coefficients(-zeta, kin)
-    rows = []
-    max_err = 0.0
-    for k, (name, m) in enumerate(zip("xyz", mats)):
-        diag = matrix_element(psi, m, psi)
-        cross = matrix_element(other, m, psi)
-        cd, cc = complex(closed.diag[k]), complex(closed.cross[k])
-        max_err = max(max_err, abs(diag - cd), abs(cross - cc))
-        rows.append((name, cd, diag, cc, cross))
-    ok = norm_err <= RESIDUAL_TOL and max(residual, max_err) <= RESIDUAL_TOL * kin.gamma
+    audit = stationary_audit(kin, zeta)
     if cfg["format"] == "json":
         payload = {
             "beta": kin.beta,
             "alpha_deg": cfg["alpha_deg"],
             "zeta": zeta,
-            "spinor": psi.tolist(),
-            "eigenvalue": zeta * kin.q,
-            "norm_error": norm_err,
-            "residual": residual,
-            "max_element_error": max_err,
-            "pass": ok,
+            "spinor": audit.spinor.tolist(),
+            "eigenvalue": audit.eigenvalue,
+            "norm_error": audit.norm_error,
+            "residual": audit.residual,
+            "max_element_error": audit.max_element_error,
+            "pass": audit.passed,
         }
         _emit(_json_text(payload), cfg["output"])
     else:
         lines = [
             f"beta={kin.beta:.17g} alpha={cfg['alpha_deg']:.17g} deg zeta={zeta:+d}",
-            "spinor: " + " ".join(f"{c:.17g}" for c in psi),
-            f"eigenvalue: {zeta * kin.q:.17g}",
-            f"norm error: {norm_err:.3e}",
-            f"residual: {residual:.3e}",
+            "spinor: " + " ".join(f"{c:.17g}" for c in audit.spinor),
+            f"eigenvalue: {audit.eigenvalue:.17g}",
+            f"norm error: {audit.norm_error:.3e}",
+            f"residual: {audit.residual:.3e}",
             "matrix elements, closed form vs spinor sandwich:",
         ]
-        for name, cd, diag, cc, cross in rows:
+        for name, (cd, diag, cc, cross) in zip("xyz", audit.elements):
             lines.append(f"  diag_{name}:  {cd:.12g}  vs  {diag:.12g}")
             lines.append(f"  cross_{name}: {cc:.12g}  vs  {cross:.12g}")
-        lines.append(f"max element error: {max_err:.3e}")
-        lines.append(f"verdict: {'pass' if ok else 'FAIL'}")
+        lines.append(f"max element error: {audit.max_element_error:.3e}")
+        lines.append(f"verdict: {'pass' if audit.passed else 'FAIL'}")
         _emit("\n".join(lines) + "\n", cfg["output"])
-    return 0 if ok else 1
+    return 0 if audit.passed else 1
 
 
 def cmd_precess(cfg: dict) -> int:
@@ -366,8 +342,7 @@ def cmd_precess(cfg: dict) -> int:
     header = ["t", "pi_x", "pi_y", "pi_z", "beta_pi", "invariant"]
     columns = [hist.t * scale] + [getattr(hist, name) for name in header[1:]]
     _emit_series(cfg, header, columns)
-    inv_err = float(np.abs(hist.invariant - 1.0).max())
-    return 0 if inv_err <= tolerances.invariant else 1
+    return 0 if hist.invariant_error <= tolerances.invariant else 1
 
 
 def cmd_bmt(cfg: dict) -> int:
@@ -388,8 +363,7 @@ def cmd_bmt(cfg: dict) -> int:
     header = ["t", "bmt_s_x", "bmt_s_y", "bmt_s_z", "bmt_pi_x", "bmt_pi_y", "bmt_pi_z", "bmt_beta_pi"]
     columns = [traj.t * scale, *traj.s.T, *traj.pi.T, traj.beta_pi]
     _emit_series(cfg, header, columns)
-    drift = float(np.abs(np.linalg.norm(traj.s, axis=1) - 1.0).max())
-    return 0 if drift <= NORM_DRIFT_TOL else 1
+    return 0 if traj.norm_drift <= NORM_DRIFT_TOL else 1
 
 
 def format_report(report: ComparisonReport, params: dict) -> str:

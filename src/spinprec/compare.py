@@ -147,8 +147,7 @@ def compare(
     for k, c in zip(_COMPONENTS, series):
         np.subtract(getattr(quantum, k), c, out=buf)
         dev[k] = float(np.abs(buf, out=buf).max())
-    np.subtract(quantum.invariant, 1.0, out=buf)
-    inv_err = float(np.abs(buf, out=buf).max())
+    inv_err = quantum.invariant_error
     spans = [float(c.max() - c.min()) for c in series]  # np.ptp, without its wrapper
     extracted = extract_frequency(classical.t, series[int(np.argmax(spans))], workspace=workspace)
     freq_ok = extracted is None or (

@@ -43,6 +43,10 @@ _RHO2_SIGMA4 = tuple(RHO2 @ s for s in SIGMA4)
 AXES = np.eye(3)
 AXES.flags.writeable = False
 
+#: audit threshold for the eigenstate norm error; the eigen residual and the
+#: matrix-element mismatch are O(gamma), so theirs is this times gamma
+RESIDUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class MatrixElements:
@@ -54,6 +58,22 @@ class MatrixElements:
 
     diag: np.ndarray
     cross: np.ndarray
+
+
+@dataclass(frozen=True)
+class StationaryAudit:
+    """What :func:`stationary_audit` found; ``residual`` = |Pi_z psi - zeta q psi|.
+
+    ``elements[k]`` = (closed diag, sandwiched diag, closed cross, sandwiched cross) of Pi_k.
+    """
+
+    spinor: np.ndarray
+    eigenvalue: float
+    norm_error: float
+    residual: float
+    elements: tuple[tuple[complex, complex, complex, complex], ...]
+    max_element_error: float
+    passed: bool
 
 
 def spin_axis(theta_n: float, phi_n: float) -> np.ndarray:
@@ -131,3 +151,23 @@ def closed_form_matrix_elements(kin: Kinematics, zeta: int) -> MatrixElements:
     g, q = kin.gamma, kin.q
     diag = [-zeta * g * g * kin.beta_perp * kin.beta_z / q, 0.0, zeta * q]
     return MatrixElements(np.array(diag, dtype=complex), np.array([-g / q, -1j * zeta * g, 0j]))
+
+
+def stationary_audit(kin: Kinematics, zeta: int) -> StationaryAudit:
+    """Audit |zeta> with the 4x4 matrices: norm, Pi_z eigen residual and matrix elements.
+
+    Passes at a norm error <= :data:`RESIDUAL_TOL`, residual and element errors <= it times gamma.
+    """
+    psi = spin_coefficients(zeta, kin)
+    norm_err = abs(float(np.linalg.norm(psi)) - 1.0)
+    mats = [pi_component_matrix(axis, kin) for axis in AXES]
+    residual = float(np.linalg.norm(mats[2] @ psi - zeta * kin.q * psi))
+    closed = closed_form_matrix_elements(kin, zeta)
+    other = spin_coefficients(-zeta, kin)
+    rows = []
+    for k, m in enumerate(mats):
+        rows.append((complex(closed.diag[k]), matrix_element(psi, m, psi),
+                     complex(closed.cross[k]), matrix_element(other, m, psi)))
+    max_err = max(max(abs(diag - cd), abs(cross - cc)) for cd, diag, cc, cross in rows)
+    passed = norm_err <= RESIDUAL_TOL and max(residual, max_err) <= RESIDUAL_TOL * kin.gamma
+    return StationaryAudit(psi, zeta * kin.q, norm_err, residual, tuple(rows), max_err, passed)

@@ -65,6 +65,11 @@ class PolarizationHistory:
     beta_pi: np.ndarray
     invariant: np.ndarray
 
+    @property
+    def invariant_error(self) -> float:
+        """max |I - 1| over the samples, NaN if any I is; max(I) - 1 and 1 - min(I) give its bits."""
+        return max(float(self.invariant.max()) - 1.0, 1.0 - float(self.invariant.min()))
+
 
 def initial_amplitudes_closed(
     axis: str, epsilon: int, kin: Kinematics

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinprec import cli
+from spinprec import cli, spinors
 from spinprec.cli import HBAR, main
 
 TESTS = Path(__file__).resolve().parent
@@ -69,13 +69,13 @@ def test_eigenstate_passes_at_high_gamma(capsys):
 
 
 def test_eigenstate_fails_on_a_skewed_closed_form(capsys, monkeypatch):
-    exact = cli.closed_form_matrix_elements
+    exact = spinors.closed_form_matrix_elements
 
     def skewed(kin, zeta):
         me = exact(kin, zeta)
         return type(me)(me.diag * (1.0 + 1e-9), me.cross * (1.0 + 1e-9))
 
-    monkeypatch.setattr(cli, "closed_form_matrix_elements", skewed)
+    monkeypatch.setattr(spinors, "closed_form_matrix_elements", skewed)
     code, out, _ = run(capsys, *HIGH_GAMMA)
     assert code == 1
     assert "verdict: FAIL" in out
