@@ -70,6 +70,8 @@ from spinprec.cli import main
 from spinprec.compare import Tolerances, seed_classical
 from spinprec.kinematics import SINCOS_MIN_SAMPLES, TWO_PI
 
+from reference import alphas
+
 ORIENTATIONS = ("x", "y", "z", "momentum", "custom")
 #: set from float64 roundoff before the vectorized path was written
 SPINOR_TOL = 1e-14
@@ -80,12 +82,6 @@ SPINOR_TOL = 1e-14
 RK4_ROUNDOFF = 2.0
 
 gammas = st.floats(min_value=1.0001, max_value=1e4)
-#: the whole circle and beyond, as --alpha-deg accepts any finite angle, and a tiny
-#: step off the field axis, k pi, where omega_vector's Omega_z once cancelled
-alphas = st.one_of(
-    st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi),
-    st.builds(lambda k, tiny: k * math.pi + tiny, st.integers(-4, 4), st.floats(-1e-3, 1e-3)),
-)
 signs = st.sampled_from([-1, 1])
 
 

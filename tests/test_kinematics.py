@@ -22,14 +22,7 @@ from spinprec import (
 from spinprec.compare import extract_frequency, seed_classical
 from spinprec.kinematics import SINCOS_MIN_SAMPLES, _sin_cos, _Workspace, check_time_grid
 
-#: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
-betas = st.floats(min_value=0.0, max_value=0.99)
-#: the whole circle and beyond, as --alpha-deg accepts any finite angle, and a tiny
-#: step off the field axis, k pi, where omega_vector's Omega_z once cancelled
-alphas = st.one_of(
-    st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi),
-    st.builds(lambda k, tiny: k * math.pi + tiny, st.integers(-4, 4), st.floats(-1e-3, 1e-3)),
-)
+from reference import alphas, betas
 
 
 def test_reference_point():

@@ -15,14 +15,8 @@ from spinprec import (
 )
 from spinprec.spinors import RHO2, SIGMA4
 
-#: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
-betas = st.floats(min_value=0.0, max_value=0.99)
-#: the whole circle and beyond, as --alpha-deg accepts any finite angle, and a tiny
-#: step off the field axis, k pi, where omega_vector's Omega_z once cancelled
-alphas = st.one_of(
-    st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi),
-    st.builds(lambda k, tiny: k * math.pi + tiny, st.integers(-4, 4), st.floats(-1e-3, 1e-3)),
-)
+from reference import alphas, betas
+
 zetas = st.sampled_from([-1, 1])
 
 AXES = {

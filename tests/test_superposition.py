@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from spinprec import (
     FieldCoupling,
+    PolarizationHistory,
     SpinSuperposition,
     evolve_expectations,
     evolve_expectations_spinor,
@@ -18,16 +20,8 @@ from spinprec import (
     spin_axis,
 )
 
-from reference import doublet_matrix
+from reference import alphas, betas, doublet_matrix
 
-#: not up to 1 as --beta: the absolute bounds here suit gamma <= 7; high gamma has its own tests
-betas = st.floats(min_value=0.0, max_value=0.99)
-#: the whole circle and beyond, as --alpha-deg accepts any finite angle, and a tiny
-#: step off the field axis, k pi, where omega_vector's Omega_z once cancelled
-alphas = st.one_of(
-    st.floats(min_value=-4.0 * math.pi, max_value=4.0 * math.pi),
-    st.builds(lambda k, tiny: k * math.pi + tiny, st.integers(-4, 4), st.floats(-1e-3, 1e-3)),
-)
 signs = st.sampled_from([-1, 1])
 
 COUP = FieldCoupling(1e-3, 1)
@@ -301,6 +295,24 @@ def test_invariant_is_one(beta, alpha, epsilon, theta_n, phi_n):
     t = np.linspace(0.0, 40.0, 400)
     hist = evolve_expectations(sup, kin, COUP, t)
     assert np.abs(hist.invariant - 1.0).max() < 1e-10
+
+
+#: invariants near 1, as the engine gives, and any other float, infinities too
+invariants = hnp.arrays(
+    np.float64,
+    st.integers(1, 64),
+    elements=st.one_of(st.floats(0.999, 1.001), st.floats(allow_nan=False)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(invariants, st.integers(0, 63))
+def test_invariant_error_is_the_bits_of_abs_max(invariant, nan_at):
+    hist = PolarizationHistory(*[np.zeros_like(invariant)] * 5, invariant)
+    expected = float(np.abs(invariant - 1.0).max())
+    assert np.float64(hist.invariant_error).tobytes() == np.float64(expected).tobytes()
+    invariant[nan_at % invariant.size] = math.nan
+    assert math.isnan(hist.invariant_error)
 
 
 @settings(deadline=None, max_examples=40)
