@@ -299,13 +299,12 @@ def _emit_series(cfg: dict, header: list[str], columns: list[np.ndarray]) -> Non
 def cmd_eigenstate(cfg: dict) -> int:
     """Audit one stationary state: residual, norm, matrix-element table."""
     kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
-    zeta = cfg["zeta"]
-    audit = stationary_audit(kin, zeta)
+    audit = stationary_audit(kin, cfg["zeta"])
     if cfg["format"] == "json":
         payload = {
             "beta": kin.beta,
             "alpha_deg": cfg["alpha_deg"],
-            "zeta": zeta,
+            "zeta": cfg["zeta"],
             "spinor": audit.spinor.tolist(),
             "eigenvalue": audit.eigenvalue,
             "norm_error": audit.norm_error,
@@ -316,7 +315,7 @@ def cmd_eigenstate(cfg: dict) -> int:
         _emit(_json_text(payload), cfg["output"])
     else:
         lines = [
-            f"beta={kin.beta:.17g} alpha={cfg['alpha_deg']:.17g} deg zeta={zeta:+d}",
+            f"beta={kin.beta:.17g} alpha={cfg['alpha_deg']:.17g} deg zeta={cfg['zeta']:+d}",
             "spinor: " + " ".join(f"{c:.17g}" for c in audit.spinor),
             f"eigenvalue: {audit.eigenvalue:.17g}",
             f"norm error: {audit.norm_error:.3e}",
