@@ -297,7 +297,7 @@ def _emit_series(cfg: dict, header: list[str], columns: list[np.ndarray]) -> Non
 
 
 def cmd_eigenstate(cfg: dict) -> int:
-    """Audit one stationary state: residual, norm, matrix-element table."""
+    """Render the :func:`stationary_audit` of one stationary state as text or JSON."""
     kin = make_kinematics(cfg["beta"], math.radians(cfg["alpha_deg"]))
     audit = stationary_audit(kin, cfg["zeta"])
     if cfg["format"] == "json":
