@@ -248,43 +248,84 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    """Header line, then one row per sample with every cell as ``%.17g``."""
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    """Header line, then one row per sample with every cell as ``%.17g``.
+
+    A column of one bit pattern is formatted once, into the row template,
+    and only the other columns pass through ``%`` on every row.
+    """
     parts = [",".join(header) + "\n"]
+    table = np.array(columns)
+    if not table.shape[1]:
+        return parts[0]
+    bits = table.view(np.int64)
+    fixed = (bits == bits[:, :1]).all(axis=1)
+    # a %.17g text never holds a %, so a fixed column's text is literal in the template
+    cells = ["%.17g" % v if f else "%.17g" for v, f in zip(table[:, 0].tolist(), fixed.tolist())]
+    row = ",".join(cells) + "\n"
+    rows = table[~fixed].T
     # one % call per block of rows; blocks bound the list of boxed cells
-    for start in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-        block = table[start : start + _CSV_BLOCK_ROWS]
-        parts.append(row * block.shape[0] % tuple(block.ravel().tolist()))
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
     return "".join(parts)
 
 
-def _json_array(col: np.ndarray) -> list[str]:
-    """A 1-D float array as ``json.dumps(..., indent=2)`` writes a dict value.
+def _distinct_cells(table: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The distinct bit patterns in each row of a 2-D float array, so -0.0 and 0.0 differ.
 
-    Returned in pieces, so that the caller copies every column only once.
+    Returns the rows' distinct values end to end, each row in bit order, the
+    end of each row's run among them, and each cell's index in its row's run.
     """
-    if col.size == 0:
-        return ["[]"]
-    text = ",\n    ".join(map(float.__repr__, col.tolist()))
-    if not np.isfinite(col).all():
-        # repr spells them nan, inf and -inf, and no finite repr holds those letters
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return ["[\n    ", text, "\n  ]"]
+    k, n = table.shape
+    bits = table.view(np.int64)
+    # every cell's flat index, each row's cells in the order of their bits
+    order = (bits.argsort(axis=1) + np.arange(0, k * n, n)[:, None]).ravel()
+    ordered = bits.ravel()[order]
+    first = np.empty(k * n, bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    first[::n] = True
+    seen = np.cumsum(first).reshape(k, n)
+    rank = np.empty(k * n, np.intp)
+    rank[order] = (seen - seen[:, :1]).ravel()
+    return ordered[first].view(np.float64), seen[:, -1].tolist(), rank.reshape(k, n)
+
+
+def _json_arrays(columns: list[np.ndarray]):
+    """Each column, of one length, as ``json.dumps(..., indent=2)`` writes a dict value.
+
+    ``repr`` runs once per distinct bit pattern of a column, and the column
+    gathers its cells from those texts.  Yields each text in pieces, so
+    that the caller copies every column only once.
+    """
+    if not len(columns[0]):
+        yield from [["[]"]] * len(columns)
+        return
+    distinct, ends, rank = _distinct_cells(np.array(columns))
+    finite = np.isfinite(distinct).all()
+    start = 0
+    for end, ranks in zip(ends, rank):
+        reprs = np.fromiter(map(float.__repr__, distinct[start:end].tolist()), object, end - start)
+        text = ",\n    ".join(reprs[ranks].tolist())
+        if not finite:
+            # repr spells them nan, inf and -inf, and no finite repr holds those letters
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        start = end
+        yield ["[\n    ", text, "\n  ]"]
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)`` and a newline.
 
-    A series, a dict of 1-D float arrays, gives the bytes its lists would,
-    without the pure-Python encoder that ``indent`` selects in ``json``.
+    A series, a dict of 1-D float arrays of one length, gives the bytes its
+    lists would, without the pure-Python encoder that ``indent`` selects in
+    ``json``.
     """
     series = isinstance(obj, dict) and obj and all(isinstance(v, np.ndarray) for v in obj.values())
     if not series:
         return json.dumps(obj, indent=2) + "\n"
     parts = []
-    for name, col in obj.items():
-        parts += [",\n  " if parts else "{\n  ", json.dumps(name), ": ", *_json_array(col)]
+    for name, pieces in zip(obj, _json_arrays(list(obj.values()))):
+        parts += [",\n  " if parts else "{\n  ", json.dumps(name), ": ", *pieces]
     parts.append("\n}\n")
     return "".join(parts)
 

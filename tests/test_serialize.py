@@ -4,7 +4,8 @@
 Their output must equal, byte for byte, a per-row ``%.17g`` join and
 ``json.dumps(..., indent=2)`` of the column lists, for every float64 value
 including NaN, the infinities, signed zero, subnormals and the ends of the
-range.
+range.  Both convert each distinct bit pattern of a column once, so the
+tables also hold constant columns and columns of a few repeated values.
 """
 
 import json
@@ -36,6 +37,18 @@ SPECIAL = [
 ]
 
 
+#: bit patterns of 0.0, -0.0, a quiet NaN with a payload, the infinities and 0.1
+CONSTANT_BITS = [0, 1 << 63, 0x7FF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x3FB999999999999A]
+#: a pool of repeated values: 0.0 beside -0.0, and NaNs with two payloads, one negative
+POOL_BITS = np.array([0, 1 << 63, 0x7FF8000000000001, 0xFFF80000DEADBEEF, 0x3FF0000000000000],
+                     dtype=np.uint64)
+
+
+def columns_of_bits(*patterns):
+    return [np.array(p, dtype=np.uint64).view(np.float64) for p in patterns]
+
+
 def reference_csv(header, columns):
     lines = [",".join(header)]
     for row in zip(*columns):
@@ -54,6 +67,7 @@ def series(draw):
     The bulk comes from random bit patterns, which span every exponent and
     hold NaNs with payloads, or from values of ordinary size; hypothesis
     then plants its own floats and the special values at chosen cells.
+    Some columns are then made constant, or are drawn from a small pool.
     """
     width = draw(st.integers(1, 8))
     rows = draw(st.integers(1, 3000))
@@ -68,17 +82,33 @@ def series(draw):
                       st.floats() | st.sampled_from(SPECIAL))
     for r, c, value in draw(st.lists(cells, max_size=40)):
         table[r, c] = value
+    bits = table.view(np.uint64)
+    for c in range(width):
+        kind = draw(st.sampled_from(["drawn", "constant", "pool"]))
+        if kind == "constant":
+            bits[:, c] = draw(st.sampled_from(CONSTANT_BITS))
+        elif kind == "pool":
+            bits[:, c] = POOL_BITS[rng.integers(0, len(POOL_BITS), rows)]
     return header, [table[:, j].copy() for j in range(width)]
 
 
 EVERY_SPECIAL = (["t", "ä\"x"], [np.array(SPECIAL), np.arange(len(SPECIAL), dtype=float)])
 NO_ROWS = (["t", "x"], [np.array([]), np.array([])])
+ONE_ROW = (["t", "x", "y"], columns_of_bits([1 << 63], [0x7FF8000000000001], [0x3FB999999999999A]))
+#: columns equal as floats, or all NaN, that differ in their bits
+ZEROS_AND_NANS = (["z", "n"], columns_of_bits(
+    [0, 1 << 63, 0], [0x7FF8000000000001, 0xFFF80000DEADBEEF, 0x7FF8000000000001]))
+ALL_CONSTANT = ([f"c{i}" for i in range(len(CONSTANT_BITS))],
+                columns_of_bits(*([b] * 5 for b in CONSTANT_BITS)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(series())
 @example(EVERY_SPECIAL)
 @example(NO_ROWS)
+@example(ONE_ROW)
+@example(ALL_CONSTANT)
+@example(ZEROS_AND_NANS)
 def test_csv_matches_per_row_join(data):
     header, columns = data
     assert _csv(header, columns) == reference_csv(header, columns)
@@ -88,6 +118,9 @@ def test_csv_matches_per_row_join(data):
 @given(series())
 @example(EVERY_SPECIAL)
 @example(NO_ROWS)
+@example(ONE_ROW)
+@example(ALL_CONSTANT)
+@example(ZEROS_AND_NANS)
 def test_json_matches_json_dumps_and_round_trips(data):
     header, columns = data
     text = _json_text(dict(zip(header, columns)))
