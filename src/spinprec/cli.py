@@ -142,7 +142,7 @@ def _no_value(value) -> bool:
 def _load_config_file(path: str, command: str) -> dict:
     """Parse a key=value config file for ``command``; # starts a comment."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # an editor may save a byte-order mark
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

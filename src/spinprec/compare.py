@@ -78,8 +78,7 @@ def extract_frequency(t, series, *, workspace: _Workspace | None = None) -> floa
     by least squares to the offset-free differences ``d[n] = y[n+k] - y[n]``.
     None means no oscillation.  Raises ValueError for a nonuniform grid or a bad series.
     With the workspace of a comparison and its grid, the grid is not checked
-    again (its workspace checked it, and ``period_grid`` built it uniform) and
-    the work rows are the workspace's.
+    again: its workspace checked it, and ``period_grid`` built it uniform.
     """
     workspace = _held(workspace, t)
     t = np.asarray(t, dtype=float)
@@ -96,26 +95,22 @@ def extract_frequency(t, series, *, workspace: _Workspace | None = None) -> floa
         # end, so its intervals spread by about two such ulps at any length
         if not np.ptp(np.diff(t)) <= 4.0 * np.finfo(float).eps * max(-t[0], t[-1]):
             raise ValueError("t must be a uniform grid")
-        work, signs = np.empty((2, n)), np.empty((2, n), dtype=bool)
-    else:
-        work, signs = workspace.scratch[:2, :n], workspace.signs
     dt = (t[-1] - t[0]) / (n - 1)
     lo, hi = float(y.min()), float(y.max())  # NaN in y makes both NaN
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("series must be finite")
-    centred = np.subtract(y, y.mean(), out=work[0])
+    centred = y - y.mean()
     scale = max(1.0, -lo, hi)
     if max(float(centred.max()), -float(centred.min())) < OSCILLATION_FLOOR * scale:
         return None
     # two sign changes per period: k is about a quarter period, so w k dt < pi
-    np.signbit(centred, out=signs[0])
-    changes = int(np.count_nonzero(np.not_equal(signs[0, 1:], signs[0, :-1], out=signs[1, 1:])))
+    signs = np.signbit(centred)
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
     k = max(1, min(n // max(2 * changes, 1), (n - 1) // 3))
-    d = np.subtract(y[k:], y[:-k], out=work[1, k:])
+    d = y[k:] - y[:-k]
     # elementwise sums, not a BLAS dot, whose bits vary with the CPU kernel
-    prod = np.add(d[2 * k :], d[: -2 * k], out=work[0, : n - 3 * k])
-    num = float(np.sum(np.multiply(prod, d[k:-k], out=prod)))
-    den = 2.0 * float(np.sum(np.multiply(d[k:-k], d[k:-k], out=prod)))
+    num = float(np.sum((d[2 * k :] + d[: -2 * k]) * d[k:-k]))
+    den = 2.0 * float(np.sum(d[k:-k] * d[k:-k]))
     if not (den > 0.0 and abs(num) <= den):
         raise ValueError("series fits no sinusoid")
     return math.acos(num / den) / (k * dt)
@@ -133,16 +128,14 @@ def compare(
 
     Both inputs must share one time grid; anything else is a structural
     error, not a physics failure.  The classical series that oscillates
-    most must run at ``frequency_formula``.  With the workspace of a
-    comparison and its grid the work rows are the workspace's.
+    most must run at ``frequency_formula``.  ``workspace`` is passed on to
+    :func:`extract_frequency`.
     """
     tol = tolerances or Tolerances()
     if quantum.t is not classical.t and not np.array_equal(quantum.t, classical.t):
         raise ValueError("quantum and classical series must share one time grid")
     series = (*classical.pi.T, classical.beta_pi)
-    held = _held(workspace, classical.t)
-    # one scratch row for every difference below
-    buf = np.empty(quantum.t.shape) if held is None else held.scratch[0, : quantum.t.size]
+    buf = np.empty(quantum.t.shape)  # one row for every difference below
     dev = {}
     for k, c in zip(_COMPONENTS, series):
         np.subtract(getattr(quantum, k), c, out=buf)

@@ -169,16 +169,17 @@ def check_time_grid(t_grid) -> np.ndarray:
 
 
 class _Workspace:
-    """The rows a comparison reads, kept for the next comparison on a grid of one length.
+    """The grid and output rows of a comparison, kept for the next on a grid of one length.
 
     ``t`` is the grid the rows were last filled for: :func:`spinprec.compare.run_comparison`
     builds it with ``period_grid``, and :meth:`hold` checks it once and makes it
     read-only.  An evaluator handed a workspace together with that grid object
     skips the grid checks, including the ``linspace`` test of :func:`_sin_cos`, and writes
-    into the workspace's rows: ``quantum`` holds pi_x, pi_y, pi_z, beta_pi and the invariant,
-    ``classical`` pi_x, pi_y, pi_z and beta_pi.  ``scratch`` holds three work rows laid
-    out for :func:`_sin_cos` and ``signs`` two boolean rows.  With any other grid an
-    evaluator checks it and allocates, as without a workspace.
+    its outputs into the workspace's rows: ``quantum`` holds pi_x, pi_y, pi_z, beta_pi and
+    the invariant, ``classical`` pi_x, pi_y, pi_z and beta_pi.  Reusing these two blocks
+    spares a comparison the page faults of mapping them afresh; work rows are allocated
+    per call.  With any other grid an evaluator checks it and allocates, as without a
+    workspace.
     """
 
     def __init__(self) -> None:
@@ -188,13 +189,9 @@ class _Workspace:
         """Check the ``period_grid`` output ``t`` and take it; rows change only with its length."""
         t = check_time_grid(t)
         t.flags.writeable = False
-        n = t.size
-        if self.t is None or self.t.size != n:
-            m = math.isqrt(n - 1) + 1
-            self.quantum = np.empty((5, n))
-            self.classical = np.empty((4, n))
-            self.scratch = np.empty((3, -(-n // m) * m))
-            self.signs = np.empty((2, n), dtype=bool)
+        if self.t is None or self.t.size != t.size:
+            self.quantum = np.empty((5, t.size))
+            self.classical = np.empty((4, t.size))
         self.t = t
 
 
@@ -218,7 +215,7 @@ def _sin_cos(
     Both lie within 4 eps max(1, |w t|) of libm's, with |w t| the largest on the
     grid, and equal libm's at the block starts.  Any other grid takes libm per sample.
     ``workspace``, if given, holds ``t``: a ``period_grid``, so a ``linspace``, which
-    is not tested again, and the sinusoids are written into its scratch rows.
+    is not tested again.
     """
     n = t.size
     # linspace keeps every sample within a few ulps of t[0] + i h, which the bound needs
@@ -233,13 +230,10 @@ def _sin_cos(
     a = (w * ((t[-1] - t[0]) / (n - 1))) * np.arange(m)
     sin_b, cos_b, sin_a, cos_a = np.sin(b), np.cos(b), np.sin(a), np.cos(a)
     # (blocks, m) outer products, whose rows laid end to end are the grid
-    sin = cos = term = None
-    if workspace is not None:
-        sin, cos, term = workspace.scratch.reshape(3, -1, m)
-    sin = np.multiply(sin_b, cos_a, out=sin)
-    term = np.multiply(cos_b, sin_a, out=term)
+    sin = sin_b * cos_a
+    term = cos_b * sin_a
     sin += term
-    cos = np.multiply(cos_b, cos_a, out=cos)
+    cos = cos_b * cos_a
     np.multiply(sin_b, sin_a, out=term)
     cos -= term
     return sin.ravel()[:n], cos.ravel()[:n]
@@ -252,12 +246,11 @@ def _sinusoids(
 
     Both closed paths give every output in this form, so this is where each is
     evaluated on ``t``, a grid :func:`check_time_grid` accepted, with the
-    sinusoids of :func:`_sin_cos`; ``workspace``, if given, holds ``t`` and lends
-    them its scratch rows.  Each row of ``rows`` must be contiguous; returns ``rows``.
+    sinusoids of :func:`_sin_cos`; ``workspace``, if given, holds ``t`` and spares
+    :func:`_sin_cos` its ``linspace`` test.  Each row of ``rows`` must be contiguous; returns ``rows``.
     """
     sin, cos = _sin_cos(w, t, workspace)
-    # _sin_cos leaves the third scratch row free
-    term = np.empty(t.size) if workspace is None else workspace.scratch[2, : t.size]
+    term = np.empty(t.size)
     for row, (c0, c1, c2) in zip(rows, coefs):
         np.multiply(cos, c1, out=row)
         row += c0

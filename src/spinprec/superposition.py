@@ -159,7 +159,7 @@ def evolve_expectations(
     _sinusoids(rows[:4], coefs, precession_frequency(kin), t, workspace)
     pi_x, pi_y, pi_z, beta_pi, invariant = rows
     np.square(pi_x, out=invariant)
-    term = np.empty(t.size) if workspace is None else workspace.scratch[0, : t.size]
+    term = np.empty(t.size)
     for c in (pi_y, pi_z):
         np.square(c, out=term)
         invariant += term

@@ -348,9 +348,19 @@ def test_sweep_requires_spec(capsys):
     assert "--sweep" in err
 
 
-def test_sweep_bad_range(capsys):
-    code, _, err = run(capsys, "sweep", "--sweep", "beta=0:0.5")
+SWEEP_REFUSALS = {
+    "beta=0:0.5": "sweep range must be lo:hi:count, got '0:0.5'",
+    "beta=a:b:3": "bad sweep range 'a:b:3': could not convert string to float: 'a'",
+    "gamma=0:1:2": "sweep parameter must be beta or alpha, got 'gamma'",
+    "beta=0:1:2,beta=0:1:2": "sweep parameter beta is given twice",
+}
+
+
+@pytest.mark.parametrize("spec", SWEEP_REFUSALS)
+def test_sweep_bad_range(capsys, spec):
+    code, out, err = run(capsys, "sweep", "--sweep", spec)
     assert code == 2
+    assert (out, err) == ("", f"config error: {SWEEP_REFUSALS[spec]}\n")
 
 
 def test_scales(capsys):

@@ -1,5 +1,7 @@
 import importlib
 import math
+import platform
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +396,30 @@ def test_comparisons_without_a_workspace_share_no_memory():
     _, hist, _ = run_comparison(initial_amplitudes_closed("x", 1, kin), kin, COUP, workspace=workspace)
     _, again, _ = run_comparison(initial_amplitudes_closed("y", 1, kin), kin, COUP, workspace=workspace)
     assert hist.pi_x is not again.pi_x and np.shares_memory(hist.pi_x, again.pi_x)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="counts glibc's page faults",
+)
+def test_a_shared_workspace_keeps_comparisons_from_faulting_in_new_rows():
+    import resource
+
+    # a workspace's output blocks, 410 and 328 kB at the default 10,241 samples, lie above
+    # glibc's mmap threshold: made afresh, each comparison faults them in anew
+    points = []
+    for i, (beta, alpha) in enumerate((b, a) for b in (0.3, 0.8, 0.99) for a in (0.4, 1.5, 2.8)):
+        kin = make_kinematics(beta, alpha)
+        points.append((initial_amplitudes_closed("xyz"[i % 3], 1, kin), kin))
+    workspace = _Workspace()
+    for sup, kin in points[:2]:
+        run_comparison(sup, kin, COUP, workspace=workspace)
+    runs = points * 4
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for sup, kin in runs:
+        run_comparison(sup, kin, COUP, workspace=workspace)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5 * len(runs)
 
 
 def test_a_comparison_checks_its_grid_once(monkeypatch):

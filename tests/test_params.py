@@ -61,6 +61,17 @@ def test_flag_given_the_options_marker_exits_2(param, command, tmp_path, monkeyp
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_config_file_with_a_byte_order_mark_and_crlf_resolves_alike(tmp_path):
+    # as an editor may save it: a UTF-8 byte-order mark, then Windows line ends
+    text = "beta = 0.25\nalpha-deg = 30  # pitch\n\nperiods = 2\n"
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+    cfg = _resolve(["compare", "--config", str(plain)])
+    assert cfg != _resolve(["compare"])
+    assert _resolve(["compare", "--config", str(marked)]) == cfg
+
+
 #: an empty file-system flag, or --config given the options marker
 EMPTY = [[command, "--config=" + value] for command in cli._COMMANDS for value in ("", "--")]
 EMPTY += [[command, "--output="] for command in cli._BY_NAME["output"].commands]
