@@ -27,7 +27,7 @@ import numpy as np
 from .bmt import (
     DEFAULT_STEPS_PER_PERIOD,
     MIN_STEPS_PER_PERIOD,
-    NORM_DRIFT_TOL,
+    _norm_drift_bound,
     check_steps_per_period,
     integrate,
     omega_vector,
@@ -270,62 +270,31 @@ def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     return "".join(parts)
 
 
-def _distinct_cells(table: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The distinct bit patterns in each row of a 2-D float array, so -0.0 and 0.0 differ.
-
-    Returns the rows' distinct values end to end, each row in bit order, the
-    end of each row's run among them, and each cell's index in its row's run.
-    """
-    k, n = table.shape
-    bits = table.view(np.int64)
-    # every cell's flat index, each row's cells in the order of their bits
-    order = (bits.argsort(axis=1) + np.arange(0, k * n, n)[:, None]).ravel()
-    ordered = bits.ravel()[order]
-    first = np.empty(k * n, bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    first[::n] = True
-    seen = np.cumsum(first).reshape(k, n)
-    rank = np.empty(k * n, np.intp)
-    rank[order] = (seen - seen[:, :1]).ravel()
-    return ordered[first].view(np.float64), seen[:, -1].tolist(), rank.reshape(k, n)
-
-
-def _json_arrays(columns: list[np.ndarray]):
-    """Each column, of one length, as ``json.dumps(..., indent=2)`` writes a dict value.
-
-    ``repr`` runs once per distinct bit pattern of a column, and the column
-    gathers its cells from those texts.  Yields each text in pieces, so
-    that the caller copies every column only once.
-    """
-    if not len(columns[0]):
-        yield from [["[]"]] * len(columns)
-        return
-    distinct, ends, rank = _distinct_cells(np.array(columns))
-    finite = np.isfinite(distinct).all()
-    start = 0
-    for end, ranks in zip(ends, rank):
-        reprs = np.fromiter(map(float.__repr__, distinct[start:end].tolist()), object, end - start)
-        text = ",\n    ".join(reprs[ranks].tolist())
-        if not finite:
-            # repr spells them nan, inf and -inf, and no finite repr holds those letters
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        start = end
-        yield ["[\n    ", text, "\n  ]"]
-
-
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)`` and a newline.
 
     A series, a dict of 1-D float arrays of one length, gives the bytes its
     lists would, without the pure-Python encoder that ``indent`` selects in
-    ``json``.
+    ``json``.  ``repr`` runs once per distinct bit pattern of a column, so
+    -0.0 and 0.0 differ, and the column gathers its cells from those texts.
     """
     series = isinstance(obj, dict) and obj and all(isinstance(v, np.ndarray) for v in obj.values())
     if not series:
         return json.dumps(obj, indent=2) + "\n"
     parts = []
-    for name, pieces in zip(obj, _json_arrays(list(obj.values()))):
-        parts += [",\n  " if parts else "{\n  ", json.dumps(name), ": ", *pieces]
+    for name, column in obj.items():
+        parts += [",\n  " if parts else "{\n  ", json.dumps(name), ": "]
+        if not len(column):
+            parts.append("[]")
+            continue
+        bits, rank = np.unique(column.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64)
+        reprs = np.fromiter(map(float.__repr__, distinct.tolist()), object, len(distinct))
+        text = ",\n    ".join(reprs[rank].tolist())
+        if not np.isfinite(distinct).all():
+            # repr spells them nan, inf and -inf, and no finite repr holds those letters
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        parts += ["[\n    ", text, "\n  ]"]
     parts.append("\n}\n")
     return "".join(parts)
 
@@ -403,7 +372,7 @@ def cmd_bmt(cfg: dict) -> int:
     header = ["t", "bmt_s_x", "bmt_s_y", "bmt_s_z", "bmt_pi_x", "bmt_pi_y", "bmt_pi_z", "bmt_beta_pi"]
     columns = [traj.t * scale, *traj.s.T, *traj.pi.T, traj.beta_pi]
     _emit_series(cfg, header, columns)
-    return 0 if traj.norm_drift <= NORM_DRIFT_TOL else 1
+    return 0 if traj.norm_drift <= _norm_drift_bound(cfg["periods"]) else 1
 
 
 def format_report(report: ComparisonReport, params: dict) -> str:

@@ -211,14 +211,19 @@ def test_bmt_rk4_method(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize(("steps", "code"), [("200", 1), ("400", 0)])
-def test_bmt_rk4_norm_drift_verdict(capsys, steps, code):
-    # one period at the 200-step floor drifts the spin norm by ~1.1e-9, past the 1e-9
-    # limit; 400 steps drift ~4e-11.  A failed physics check writes its series and no stderr.
-    argv = ["bmt", "--method", "rk4", "--periods", "1", "--samples-per-period", "16"]
+@pytest.mark.parametrize(
+    ("periods", "steps", "code"),
+    [("1", "200", 1), ("1", "400", 0), ("30", "200", 1), ("30", "400", 0)],
+    ids=["200-1", "400-0", "30-periods-200-1", "30-periods-400-0"],
+)
+def test_bmt_rk4_norm_drift_verdict(capsys, periods, steps, code):
+    # each period at the 200-step floor drifts the spin norm by ~1.1e-9, past the 1e-9
+    # limit per period; 400 steps drift ~4e-11 per period, so 30 periods drift ~1.2e-9
+    # and pass.  A failed physics check writes its series and no stderr.
+    argv = ["bmt", "--method", "rk4", "--periods", periods, "--samples-per-period", "16"]
     got, out, err = run(capsys, *argv, "--steps-per-period", steps)
     assert (got, err) == (code, "")
-    assert len(parse_csv(out)[1]) == 17
+    assert len(parse_csv(out)[1]) == 16 * int(periods) + 1
 
 
 def test_bmt_matches_precess_columns(capsys):
@@ -400,12 +405,17 @@ def test_config_file_and_precedence(tmp_path, capsys):
     assert data[0, 2] == pytest.approx(1.25, abs=1e-12)
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [("nope = 1", "unknown key 'nope'"), ("beta 0.5", "expected key=value, got 'beta 0.5'")],
+    ids=["unknown-key", "no-equals"],
+)
+def test_config_file_unknown_key(tmp_path, capsys, line, message):
     conf = tmp_path / "bad.conf"
-    conf.write_text("nope = 1\n")
-    code, _, err = run(capsys, "precess", "--config", str(conf))
-    assert code == 2
-    assert "unknown key" in err
+    conf.write_text(line + "\n")
+    code, out, err = run(capsys, "precess", "--config", str(conf))
+    assert (code, out) == (2, "")
+    assert err == f"config error: {conf}:1: {message}\n"
 
 
 def test_config_file_missing(capsys):

@@ -100,6 +100,11 @@ ZEROS_AND_NANS = (["z", "n"], columns_of_bits(
     [0, 1 << 63, 0], [0x7FF8000000000001, 0xFFF80000DEADBEEF, 0x7FF8000000000001]))
 ALL_CONSTANT = ([f"c{i}" for i in range(len(CONSTANT_BITS))],
                 columns_of_bits(*([b] * 5 for b in CONSTANT_BITS)))
+#: the rows of a transposed (n, 3) array, strided in memory as bmt's s columns are
+STRIDED = (["s_x", "s_y", "s_z"], list(np.array(
+    [[0, 1 << 63, 0x7FF8000000000001], [1 << 63, 0xFFF80000DEADBEEF, 0],
+     [0x7FF8000000000001, 0, 1 << 63], [0xFFF80000DEADBEEF, 0x7FF8000000000001, 0]],
+    dtype=np.uint64).view(np.float64).T))
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,6 +114,7 @@ ALL_CONSTANT = ([f"c{i}" for i in range(len(CONSTANT_BITS))],
 @example(ONE_ROW)
 @example(ALL_CONSTANT)
 @example(ZEROS_AND_NANS)
+@example(STRIDED)
 def test_csv_matches_per_row_join(data):
     header, columns = data
     assert _csv(header, columns) == reference_csv(header, columns)
@@ -121,6 +127,7 @@ def test_csv_matches_per_row_join(data):
 @example(ONE_ROW)
 @example(ALL_CONSTANT)
 @example(ZEROS_AND_NANS)
+@example(STRIDED)
 def test_json_matches_json_dumps_and_round_trips(data):
     header, columns = data
     text = _json_text(dict(zip(header, columns)))
